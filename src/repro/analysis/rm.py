@@ -87,14 +87,61 @@ class StreamTestDetail:
     critical_point: float
 
 
+def _scheduling_points(distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every priority level's scheduling points, in one vectorized pass.
+
+    ``distinct`` holds the distinct periods in increasing order.  Level
+    ``t``'s points are the multiples ``l·d_u`` with ``u <= t`` and
+    ``1 <= l <= floor(d_t/d_u + 1e-12)``, sorted and deduplicated.
+    Returns ``(points, counts)``: all levels' points concatenated in level
+    order, and the number of points per level.
+    """
+    level, base = np.tril_indices(distinct.size)
+    counts = np.floor(distinct[level] / distinct[base] + 1e-12).astype(np.intp)
+    # Expand every (level, base, l) triple, l running 1..counts per pair.
+    ends = np.cumsum(counts)
+    multiple = np.arange(1, ends[-1] + 1) - np.repeat(ends - counts, counts)
+    level = np.repeat(level, counts)
+    values = np.repeat(distinct[base], counts) * multiple
+    order = np.lexsort((values, level))
+    values = values[order]
+    level = level[order]
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = (values[1:] != values[:-1]) | (level[1:] != level[:-1])
+    return values[keep], np.bincount(level[keep], minlength=distinct.size)
+
+
+def _demand_matrix(
+    points: np.ndarray, owner: np.ndarray, periods: np.ndarray
+) -> np.ndarray:
+    """The interference matrix ``ceil(t/P_j - 1e-9)`` over rows ``t``.
+
+    Row ``r`` belongs to priority level ``owner[r]``; its columns
+    ``j > owner[r]`` (lower priorities) are zero.  The tolerance keeps
+    floating-point noise from pushing ``ceil`` up a step when ``t/P_j``
+    is integral (``t`` is an exact multiple of some period).  One
+    allocation, filled in place.
+    """
+    matrix = np.empty((points.size, periods.size))
+    np.divide(points[:, None], periods, out=matrix)
+    np.subtract(matrix, 1e-9, out=matrix)
+    np.ceil(matrix, out=matrix)
+    np.copyto(matrix, 0.0, where=np.arange(periods.size) > owner[:, None])
+    return matrix
+
+
 class ExactRMTest:
     """The Lehoczky–Sha–Ding exact test with precomputed structure.
 
-    Construction cost is ``O(sum_i |R_i| * n)`` time and memory (the
-    scheduling points of all streams are stacked into one flat demand
-    matrix); evaluating one cost vector is a single matrix–vector product
-    plus a per-stream OR-reduction, and a whole batch of cost vectors
-    (:meth:`is_schedulable_batch`) is a single matrix–matrix product.
+    Construction is a fixed number of numpy calls, with no Python loop
+    over streams or periods: ``O(K log K)`` to generate and deduplicate
+    the ``K = sum_{u <= t} floor(d_t/d_u)`` candidate multiples over the
+    ``m`` distinct periods ``d``, plus ``O(sum_i |R_i| * n)`` time and
+    memory for the stacked demand matrix (the scheduling points of all
+    streams in one flat matrix).  Evaluating one cost vector is a single
+    matrix–vector product plus a per-stream OR-reduction, and a whole
+    batch of cost vectors (:meth:`is_schedulable_batch`) is a single
+    matrix–matrix product.
 
     Args:
         periods: task periods in *non-decreasing* order (RM priority
@@ -106,8 +153,8 @@ class ExactRMTest:
         periods_arr = np.asarray(periods, dtype=float)
         if periods_arr.ndim != 1 or periods_arr.size == 0:
             raise MessageSetError("periods must be a non-empty 1-D sequence")
-        if np.any(periods_arr <= 0):
-            raise MessageSetError("periods must be positive")
+        if not np.all(np.isfinite(periods_arr)) or np.any(periods_arr <= 0):
+            raise MessageSetError("periods must be positive and finite")
         if np.any(np.diff(periods_arr) < 0):
             raise MessageSetError(
                 "periods must be in non-decreasing (rate-monotonic) order"
@@ -134,55 +181,22 @@ class ExactRMTest:
         """
         periods = self._periods
         n = periods.size
-        # Streams sharing a period share everything: the same scheduling
-        # points and the same ceil(t/P) interference coefficients.  All
-        # per-point work therefore runs once per *distinct* period and is
-        # expanded to per-stream columns afterwards — an admission
-        # service draws periods from a small catalogue, so this turns the
-        # O(n^2) small-array loop (the dominant tail term of served
-        # decisions) into an O(m^2) one with m = distinct periods.
+        # Streams sharing a period share their scheduling points, so the
+        # points are generated once per distinct period and each stream's
+        # segment is gathered from its period's level.
         distinct, inverse = np.unique(periods, return_inverse=True)
-        group_counts = np.bincount(inverse, minlength=distinct.size)
-        offsets = np.concatenate(([0], np.cumsum(group_counts)))
-        group_points: list[np.ndarray] = []
-        group_coef: list[np.ndarray] = []
-        for t, d_t in enumerate(distinct):
-            multiples = [
-                d_u * np.arange(1, int(np.floor(d_t / d_u + 1e-12)) + 1)
-                for d_u in distinct[: t + 1]
-            ]
-            pts = np.unique(np.concatenate(multiples))
-            group_points.append(pts)
-            # ceil with a tolerance: t is an exact multiple of some P_k,
-            # and floating-point noise must not push ceil(t/P_j) up a
-            # step when t/P_j is integral.
-            group_coef.append(
-                np.ceil(pts[:, None] / distinct[None, : t + 1] - 1e-9)
-            )
-        segments = [group_points[t] for t in inverse]
-        counts = np.array([s.size for s in segments], dtype=np.intp)
+        level_points, level_counts = _scheduling_points(distinct)
+        level_starts = np.cumsum(level_counts) - level_counts
+        counts = level_counts[inverse]
         starts = np.zeros(n, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
-        flat_points = np.concatenate(segments)
-        matrix = np.zeros((flat_points.size, n))
-        for t in range(distinct.size):
-            pts = group_points[t]
-            coef = group_coef[t]
-            # One column per higher-priority stream: the group's
-            # coefficient columns repeated by group size.  Within the
-            # group, rate-monotonic order adds one same-period column
-            # per position (the triangular cutoff), then the exact 1 in
-            # the stream's own column.
-            before = np.repeat(coef[:, :t], group_counts[:t], axis=1)
-            own = coef[:, t]
-            for g in range(group_counts[t]):
-                i = offsets[t] + g
-                rows = slice(starts[i], starts[i] + pts.size)
-                if t > 0:
-                    matrix[rows, : offsets[t]] = before
-                if g > 0:
-                    matrix[rows, offsets[t]: i] = own[:, None]
-                matrix[rows, i] = 1.0
+        owner = np.repeat(np.arange(n), counts)
+        rows = np.arange(owner.size)
+        flat_points = level_points[
+            rows + np.repeat(level_starts[inverse] - starts, counts)
+        ]
+        matrix = _demand_matrix(flat_points, owner, periods)
+        matrix[rows, owner] = 1.0
         self._segment_starts = starts
         self._flat_points = flat_points
         self._flat_thresholds = flat_points * (1.0 + 1e-12)
@@ -354,8 +368,8 @@ class GroupedExactRMTest:
         periods_arr = np.asarray(periods, dtype=float)
         if periods_arr.ndim != 1 or periods_arr.size == 0:
             raise MessageSetError("periods must be a non-empty 1-D sequence")
-        if np.any(periods_arr <= 0):
-            raise MessageSetError("periods must be positive")
+        if not np.all(np.isfinite(periods_arr)) or np.any(periods_arr <= 0):
+            raise MessageSetError("periods must be positive and finite")
         self._periods = periods_arr
         self._distinct, self._inverse = np.unique(
             periods_arr, return_inverse=True
@@ -363,37 +377,23 @@ class GroupedExactRMTest:
         self._build_structure()
 
     def _build_structure(self) -> None:
-        """Precompute per-group scheduling points and the m-column matrix."""
+        """Precompute per-group scheduling points and the m-column matrix.
+
+        The own-group column (``u == g``) keeps its computed coefficient
+        ``ceil(t/d_g - 1e-9)``, which is exactly 1.0 for every point
+        ``t <= d_g`` — precisely the binding member's own-cost
+        coefficient in the dense test.
+        """
         distinct = self._distinct
         m = distinct.size
-        group_points: list[np.ndarray] = []
-        group_coef: list[np.ndarray] = []
-        for g, d_g in enumerate(distinct):
-            multiples = [
-                d_u * np.arange(1, int(np.floor(d_g / d_u + 1e-12)) + 1)
-                for d_u in distinct[: g + 1]
-            ]
-            pts = np.unique(np.concatenate(multiples))
-            group_points.append(pts)
-            # Same ceil tolerance as ExactRMTest: exact multiples must not
-            # round up a step.  The own-group column (u == g) comes out as
-            # exactly 1.0 for every point t <= d_g, which is precisely the
-            # binding member's own-cost coefficient in the dense test.
-            group_coef.append(
-                np.ceil(pts[:, None] / distinct[None, : g + 1] - 1e-9)
-            )
-        counts = np.array([p.size for p in group_points], dtype=np.intp)
+        flat_points, counts = _scheduling_points(distinct)
         starts = np.zeros(m, dtype=np.intp)
         np.cumsum(counts[:-1], out=starts[1:])
-        flat_points = np.concatenate(group_points)
-        matrix = np.zeros((flat_points.size, m))
-        for g in range(m):
-            rows = slice(starts[g], starts[g] + counts[g])
-            matrix[rows, : g + 1] = group_coef[g]
+        owner = np.repeat(np.arange(m), counts)
         self._segment_starts = starts
         self._flat_points = flat_points
         self._flat_thresholds = flat_points * (1.0 + 1e-12)
-        self._matrix = matrix
+        self._matrix = _demand_matrix(flat_points, owner, distinct)
 
     @property
     def periods(self) -> np.ndarray:

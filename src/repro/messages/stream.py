@@ -7,6 +7,7 @@ transmission by the end of the period in which they arrive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.errors import MessageSetError
@@ -37,13 +38,14 @@ class SynchronousStream:
     station: int = 0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0:
+        if not (math.isfinite(self.period_s) and self.period_s > 0):
             raise MessageSetError(
-                f"stream period must be positive, got {self.period_s!r}"
+                f"stream period must be positive and finite, got {self.period_s!r}"
             )
-        if self.payload_bits < 0:
+        if not (math.isfinite(self.payload_bits) and self.payload_bits >= 0):
             raise MessageSetError(
-                f"stream payload must be non-negative, got {self.payload_bits!r}"
+                "stream payload must be non-negative and finite, "
+                f"got {self.payload_bits!r}"
             )
         if self.station < 0:
             raise MessageSetError(

@@ -18,6 +18,12 @@ The properties:
     Every scalar/batched implementation pair must agree **bit for bit**;
     the batched paths are pure performance work and may not move a single
     verdict.
+``rm_exact_vs_rta``
+    The LSD exact test (:class:`~repro.analysis.rm.ExactRMTest`) must
+    agree with the independent response-time analysis just below and
+    just above the breakdown scale.  Every other engine is checked
+    against an exact test built from the same scheduling-point
+    structure, so only this property can see a wrong structure.
 ``shrink_monotonic``
     Metamorphic: shrinking any payload of a schedulable set keeps it
     schedulable (both theorems are monotone in the payloads).
@@ -348,6 +354,69 @@ def check_breakdown_batch(case: FuzzCase) -> Violation | None:
             case,
             f"breakdown scale scalar={scalar!r} != batched={batched!r}",
         )
+    return None
+
+
+# -- exact test versus an independent oracle ------------------------------------
+
+#: Largest period ratio ``P_max / P_min`` the RTA differential probes.  The
+#: huge-quotient ``exact_multiple`` cases target the boundary rule; their
+#: fixed-point iterations near breakdown would dominate the fuzz budget.
+_RTA_MAX_PERIOD_RATIO = 1e3
+
+
+def check_rm_exact_vs_rta(case: FuzzCase) -> Violation | None:
+    """The LSD exact test agrees with response-time analysis at breakdown.
+
+    Every other engine is pinned against an :class:`ExactRMTest` built
+    from the same scheduling-point structure, so a wrong structure would
+    move all of them together.  Response-time analysis never enumerates
+    scheduling points.  The case's PDP costs are scaled to just either
+    side of the RTA breakdown scale (found by bisection), where a missing
+    or spurious scheduling point flips the LSD verdict.  Knife-edge probes
+    (a response within 1e-9 of its deadline) are skipped, as in the unit
+    tests: there the two formulations may round to opposite sides.
+    """
+    ordered = case.message_set().rate_monotonic()
+    periods = np.asarray(ordered.periods)
+    if periods[-1] / periods[0] > _RTA_MAX_PERIOD_RATIO:
+        return None
+    analysis = _pdp_analysis(case, PDPVariant.MODIFIED)
+    costs = analysis.augmented_lengths(ordered)
+    blocking = analysis.blocking
+    test = rm_mod.ExactRMTest(periods)
+
+    def rta(scale: float) -> tuple[bool, bool]:
+        responses = rm_mod.response_time_analysis(costs * scale, periods, blocking)
+        ok = all(r <= p for r, p in zip(responses, periods))
+        knife_edge = any(abs(r - p) <= 1e-9 * p for r, p in zip(responses, periods))
+        return ok, knife_edge
+
+    probes = [1.0]
+    utilization = float(np.sum(costs / periods))
+    if utilization > 0 and rta(0.0)[0]:
+        lo, hi = 0.0, 1.01 / utilization  # past utilization 1: unschedulable
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            if rta(mid)[0]:
+                lo = mid
+            else:
+                hi = mid
+        probes += [lo * (1.0 - 1e-6), hi * (1.0 + 1e-6)]
+    for scale in probes:
+        expected, knife_edge = rta(scale)
+        if knife_edge:
+            continue
+        verdict = test.is_schedulable(costs * scale, blocking)
+        if verdict != expected:
+            return Violation(
+                "rm_exact_vs_rta",
+                case,
+                f"at cost scale {scale!r} the LSD exact test says "
+                f"schedulable={verdict} but response-time analysis says "
+                f"{expected} (periods={periods.tolist()}, "
+                f"blocking={blocking!r})",
+            )
     return None
 
 
@@ -1538,6 +1607,7 @@ CHECKS: dict[str, Callable[[FuzzCase], Violation | None]] = {
     "scalar_vector_split": check_scalar_vector_split,
     "scalar_vector_visits": check_scalar_vector_visits,
     "breakdown_batch": check_breakdown_batch,
+    "rm_exact_vs_rta": check_rm_exact_vs_rta,
     "shrink_monotonic": check_shrink_monotonic,
     "scale_invariance": check_scale_invariance,
     "pdp_fastpath_equiv": check_pdp_fastpath_equiv,

@@ -64,6 +64,14 @@ The mutants, and the property expected to catch each:
     jointly admit past the global utilization cap → caught by
     ``cluster_budget_sound``'s demand-overcommit churn, which observes
     the granted total exceeding the cap.
+``rm_deadline_point_dropped``
+    The vectorized scheduling-point builder loses each priority level's
+    own deadline point ``t = P_i`` (kept only on a level where it is the
+    sole point, so the structure stays well formed) — the point that
+    usually binds at breakdown.  Every engine shares the builder, so no
+    engine-versus-engine differential can notice → caught by
+    ``rm_exact_vs_rta`` against response-time analysis, which never
+    enumerates scheduling points.
 """
 
 from __future__ import annotations
@@ -184,6 +192,20 @@ def _buggy_grantable(cap, outstanding):
     return max(0.0, cap)  # BUG: stale view — ignores outstanding leases
 
 
+def _buggy_scheduling_points(original):
+    def scheduling_points(distinct):
+        points, counts = original(distinct)
+        level = np.repeat(np.arange(distinct.size), counts)
+        # BUG: drops t = P_i from every level that has another point
+        dropped = (points == distinct[level]) & (counts[level] > 1)
+        return (
+            points[~dropped],
+            np.bincount(level[~dropped], minlength=distinct.size),
+        )
+
+    return scheduling_points
+
+
 def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
     """(owner, attribute, replacement) triples for one mutant.
 
@@ -240,6 +262,16 @@ def _patch_sites(mutant: str) -> list[tuple[object, str, object]]:
         from repro.cluster import budget as cluster_budget_mod
 
         return [(cluster_budget_mod, "_grantable", _buggy_grantable)]
+    if mutant == "rm_deadline_point_dropped":
+        from repro.analysis import rm as rm_mod
+
+        return [
+            (
+                rm_mod,
+                "_scheduling_points",
+                _buggy_scheduling_points(rm_mod._scheduling_points),
+            )
+        ]
     raise KeyError(mutant)
 
 
@@ -252,6 +284,7 @@ MUTANTS: tuple[str, ...] = (
     "incremental_stale_level",
     "fault_recovery_swallowed",
     "router_stale_lease",
+    "rm_deadline_point_dropped",
 )
 
 

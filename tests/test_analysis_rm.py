@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from repro.analysis.rm import (
     ExactRMTest,
+    GroupedExactRMTest,
     hyperbolic_bound_holds,
     liu_layland_bound,
     response_time_analysis,
@@ -63,6 +64,13 @@ class TestExactTestConstruction:
     def test_rejects_nonpositive_period(self):
         with pytest.raises(MessageSetError):
             ExactRMTest([0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("cls", [ExactRMTest, GroupedExactRMTest])
+    def test_rejects_non_finite_period(self, cls, bad):
+        periods = [1.0, bad] if bad > 0 else [bad, 1.0]
+        with pytest.raises(MessageSetError, match="finite"):
+            cls(periods)
 
     def test_scheduling_points_single_task(self):
         test = ExactRMTest([4.0])
@@ -225,3 +233,152 @@ class TestLSDvsRTA:
         utilization = sum(c / p for c, p in zip(costs, periods))
         if utilization > 1.0 + 1e-9:
             assert not ExactRMTest(periods).is_schedulable(costs, blocking)
+
+
+# -- structure byte-identity ----------------------------------------------------
+#
+# The per-distinct-period loops below are the scheduling-point and
+# demand-matrix builders the vectorized one replaced, kept verbatim as a
+# test-only reference: the structure must come out byte for byte the same,
+# so every verdict, cache key and Figure 1 number is unchanged.
+
+
+def _reference_exact_structure(periods):
+    n = periods.size
+    distinct, inverse = np.unique(periods, return_inverse=True)
+    group_counts = np.bincount(inverse, minlength=distinct.size)
+    offsets = np.concatenate(([0], np.cumsum(group_counts)))
+    group_points: list[np.ndarray] = []
+    group_coef: list[np.ndarray] = []
+    for t, d_t in enumerate(distinct):
+        multiples = [
+            d_u * np.arange(1, int(np.floor(d_t / d_u + 1e-12)) + 1)
+            for d_u in distinct[: t + 1]
+        ]
+        pts = np.unique(np.concatenate(multiples))
+        group_points.append(pts)
+        group_coef.append(
+            np.ceil(pts[:, None] / distinct[None, : t + 1] - 1e-9)
+        )
+    segments = [group_points[t] for t in inverse]
+    counts = np.array([s.size for s in segments], dtype=np.intp)
+    starts = np.zeros(n, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    flat_points = np.concatenate(segments)
+    matrix = np.zeros((flat_points.size, n))
+    for t in range(distinct.size):
+        pts = group_points[t]
+        coef = group_coef[t]
+        before = np.repeat(coef[:, :t], group_counts[:t], axis=1)
+        own = coef[:, t]
+        for g in range(group_counts[t]):
+            i = offsets[t] + g
+            rows = slice(starts[i], starts[i] + pts.size)
+            if t > 0:
+                matrix[rows, : offsets[t]] = before
+            if g > 0:
+                matrix[rows, offsets[t]: i] = own[:, None]
+            matrix[rows, i] = 1.0
+    return starts, flat_points, flat_points * (1.0 + 1e-12), matrix
+
+
+def _reference_grouped_structure(periods):
+    distinct = np.unique(periods)
+    m = distinct.size
+    group_points: list[np.ndarray] = []
+    group_coef: list[np.ndarray] = []
+    for g, d_g in enumerate(distinct):
+        multiples = [
+            d_u * np.arange(1, int(np.floor(d_g / d_u + 1e-12)) + 1)
+            for d_u in distinct[: g + 1]
+        ]
+        pts = np.unique(np.concatenate(multiples))
+        group_points.append(pts)
+        group_coef.append(
+            np.ceil(pts[:, None] / distinct[None, : g + 1] - 1e-9)
+        )
+    counts = np.array([p.size for p in group_points], dtype=np.intp)
+    starts = np.zeros(m, dtype=np.intp)
+    np.cumsum(counts[:-1], out=starts[1:])
+    flat_points = np.concatenate(group_points)
+    matrix = np.zeros((flat_points.size, m))
+    for g in range(m):
+        rows = slice(starts[g], starts[g] + counts[g])
+        matrix[rows, : g + 1] = group_coef[g]
+    return starts, flat_points, flat_points * (1.0 + 1e-12), matrix
+
+
+_STRUCTURE = ("_segment_starts", "_flat_points", "_flat_thresholds", "_matrix")
+
+
+def _assert_byte_identical(test, reference):
+    for name, expected in zip(_STRUCTURE, reference):
+        actual = getattr(test, name)
+        assert actual.shape == expected.shape, name
+        assert actual.dtype == expected.dtype, name
+        assert actual.tobytes() == expected.tobytes(), name
+
+
+_HARMONIC_S = [0.008 * 2**k for k in range(6)]  # 8 .. 256 ms
+
+
+@st.composite
+def structure_periods(draw):
+    """Period vectors (seconds, RM order) across the families where the
+    scheduling-point dedupe and the ceil tolerance are exercised."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    family = draw(
+        st.sampled_from(["continuous", "harmonic", "near_integral", "tied"])
+    )
+    if family == "continuous":
+        elements = st.floats(min_value=0.0182, max_value=0.1818)
+    elif family == "harmonic":
+        elements = st.sampled_from(_HARMONIC_S)
+    elif family == "near_integral":
+        # 0.1·k and 0.3 land just off integral multiples of 0.1.
+        elements = st.sampled_from([0.1 * k for k in range(1, 13)] + [0.3])
+    else:
+        catalogue = draw(
+            st.lists(
+                st.floats(min_value=0.0182, max_value=0.1818),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        elements = st.sampled_from(catalogue)
+    periods = draw(st.lists(elements, min_size=n, max_size=n))
+    return np.sort(np.asarray(periods, dtype=float))
+
+
+class TestStructureByteIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(periods=structure_periods())
+    def test_exact_matches_reference(self, periods):
+        _assert_byte_identical(
+            ExactRMTest(periods), _reference_exact_structure(periods)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(periods=structure_periods(), data=st.data())
+    def test_grouped_matches_reference(self, periods, data):
+        shuffled = data.draw(st.permutations(list(periods)))
+        _assert_byte_identical(
+            GroupedExactRMTest(shuffled), _reference_grouped_structure(periods)
+        )
+
+    @pytest.mark.parametrize(
+        "periods",
+        [
+            [0.05],
+            [0.1, 0.3],
+            [0.1, 0.2, 0.3, 0.7],
+            [0.04, 0.04, 0.04],
+            _HARMONIC_S,
+        ],
+    )
+    def test_pinned_vectors(self, periods):
+        arr = np.asarray(periods, dtype=float)
+        _assert_byte_identical(ExactRMTest(arr), _reference_exact_structure(arr))
+        _assert_byte_identical(
+            GroupedExactRMTest(arr), _reference_grouped_structure(arr)
+        )

@@ -21,6 +21,16 @@ class TestValidation:
         with pytest.raises(MessageSetError):
             SynchronousStream(period_s=1.0, payload_bits=-1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_period(self, bad):
+        with pytest.raises(MessageSetError, match="finite"):
+            SynchronousStream(period_s=bad, payload_bits=100)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_payload(self, bad):
+        with pytest.raises(MessageSetError, match="finite"):
+            SynchronousStream(period_s=1.0, payload_bits=bad)
+
     def test_rejects_negative_station(self):
         with pytest.raises(MessageSetError):
             SynchronousStream(period_s=1.0, payload_bits=1, station=-1)

@@ -141,6 +141,26 @@ class TestProtocol:
         assert fault_status(OpFault("AdmissionError", "gone")) == 404
         assert fault_status(OpFault("MessageSetError", "bad")) == 422
 
+    @pytest.mark.parametrize("policy", ["exact", "hybrid"])
+    def test_non_finite_ops_fault_without_poisoning_the_batch(self, policy):
+        nan, inf = float("nan"), float("inf")
+        controller = build_controller(ServiceConfig(policy=policy, n_stations=8))
+        bad = [
+            AdmissionOp.admit(inf, 1000.0),
+            AdmissionOp.admit(nan, 1000.0),
+            AdmissionOp.check(0.032, inf),
+            AdmissionOp.admit(0.032, nan),
+        ]
+        results = controller.process_batch(
+            [AdmissionOp.admit(0.032, 512.0), *bad, AdmissionOp.check(0.016, 64.0)]
+        )
+        assert results[0].admitted and results[-1].admitted
+        for fault in results[1:-1]:
+            assert isinstance(fault, OpFault)
+            assert fault.error == "MessageSetError"
+            assert fault_status(fault) == 422
+        assert controller.admitted_count == 1
+
     def test_decision_round_trips_every_field(self):
         controller = make_controller()
         decision = controller.check(0.032, 512.0)
@@ -439,6 +459,22 @@ class TestServer:
                 )
                 assert status == 404
                 assert payload["error"] == "AdmissionError"
+
+    def test_nan_body_is_a_4xx_not_a_5xx(self):
+        config = ServiceConfig(port=0, n_stations=8)
+        with _ServerThread(config) as server:
+            with ServiceClient(port=server.port) as client:
+                for path in ("/v1/check", "/v1/admit"):
+                    # json.dumps writes the bare NaN / Infinity tokens that
+                    # json.loads on the server side accepts.
+                    for body in (
+                        {"period_s": float("nan"), "payload_bits": 64},
+                        {"period_s": 0.032, "payload_bits": float("inf")},
+                    ):
+                        status, payload, _ = client.request("POST", path, body)
+                        assert status == 422
+                        assert payload["error"] == "MessageSetError"
+                assert client.healthz()["admitted"] == 0
 
     def test_server_decisions_match_direct_controller(self):
         """The wire answer equals a direct controller call, field for field."""

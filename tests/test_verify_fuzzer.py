@@ -138,6 +138,9 @@ class TestMutationSmoke:
         assert "admission_incremental_equiv" in report.fired_checks[
             "incremental_stale_level"
         ]
+        assert "rm_exact_vs_rta" in report.fired_checks[
+            "rm_deadline_point_dropped"
+        ]
 
     def test_inject_mutant_restores_originals(self):
         from repro.analysis import boundary as boundary_mod
