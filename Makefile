@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: help install test verify fuzz-quick bench bench-quick bench-sim bench-service bench-admission bench-loss bench-scale bench-cluster bench-trend top serve examples report fast-report figure1 all-experiments clean
+.PHONY: help install test verify fuzz-quick bench top serve examples report fast-report figure1 all-experiments clean
 
 help:
 	@echo "Targets:"
@@ -14,42 +14,12 @@ help:
 	@echo "  fuzz-quick       deterministic differential fuzz (fixed seed,"
 	@echo "                   <60s) + mutation smoke: every injected bug"
 	@echo "                   must be flagged; nonzero exit otherwise"
-	@echo "  bench            run every benchmark"
-	@echo "  bench-quick      perf canary: single Figure-1 point + analysis"
-	@echo "                   micro-benches -> BENCH_figure1.json (tracked"
-	@echo "                   across PRs for the perf trajectory; the"
-	@echo "                   verify bench guard compares against it)"
-	@echo "  bench-sim        simulator canary: cross-validation + fast-path"
-	@echo "                   micro-benches -> BENCH_sim.json (events/sec"
-	@echo "                   and compression ratios in extra_info)"
-	@echo "  bench-service    admission-service canary: spawn the server,"
-	@echo "                   5 s closed-loop load -> BENCH_service.json"
-	@echo "                   (throughput + per-op latency percentiles +"
-	@echo "                   admission-cache hit ratio)"
-	@echo "  bench-admission  admission-engine canary: scalar vs incremental,"
-	@echo "                   cold vs warm cache, check- vs churn-heavy mixes"
-	@echo "                   -> BENCH_admission.json (the verify guard"
-	@echo "                   checks warm hit ratios against it)"
-	@echo "  bench-loss       lossy-medium canary: breakdown utilization vs"
-	@echo "                   loss fraction for both protocols under the"
-	@echo "                   retransmission-aware bounds -> BENCH_loss.json"
-	@echo "                   (the verify loss canary checks its shape)"
-	@echo "  bench-scale      columnar-engine canary: million-stream exact"
-	@echo "                   analysis vs the object path (streams/sec +"
-	@echo "                   speedup) and streaming Monte Carlo naive vs"
-	@echo "                   variance-reduced (evaluations to target CI)"
-	@echo "                   -> BENCH_scale.json (the verify scale guard"
-	@echo "                   checks the speedup floor against it)"
-	@echo "  bench-cluster    sharded-cluster canary: spawn worker fleets at"
-	@echo "                   1 and 4 workers behind the consistent-hash"
-	@echo "                   router, drive the same seeded load through"
-	@echo "                   each -> BENCH_cluster.json (fleet req/s,"
-	@echo "                   per-shard latency percentiles, measured"
-	@echo "                   scaling ratio + cpu_count for the hardware-"
-	@echo "                   aware verify guard)"
-	@echo "  bench-trend      append the current BENCH_*.json summaries to"
-	@echo "                   BENCH_history.jsonl (the verify trend guard"
-	@echo "                   compares future runs against this history)"
+	@echo "  bench            pytest-benchmark reproductions under"
+	@echo "                   benchmarks/ (they assert on reproduced numbers)"
+	@echo "  (perf)           the repo benchmark is perfbench/, not a make"
+	@echo "                   target: python3 perfbench/run.py --workload W"
+	@echo "                   --seed N [--trace 1 for the per-layer ledger];"
+	@echo "                   see perfbench/README.md"
 	@echo "  top              live terminal dashboard over a spawned server"
 	@echo "                   (req/s, p50/p99, cache hit ratio, batch sizes)"
 	@echo "  serve            run the admission service on localhost:8787"
@@ -77,49 +47,6 @@ fuzz-quick:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-quick:
-	$(PYTHON) -m pytest \
-		benchmarks/test_bench_figure1.py::test_bench_figure1_single_point \
-		benchmarks/test_bench_analysis_micro.py \
-		--benchmark-only --benchmark-json=BENCH_figure1.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_figure1.json
-
-bench-sim:
-	$(PYTHON) -m pytest \
-		benchmarks/test_bench_sim_validation.py \
-		benchmarks/test_bench_sim_fastpath.py \
-		--benchmark-only --benchmark-json=BENCH_sim.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_sim.json
-
-bench-service:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner loadgen \
-		--spawn --duration 5 --load-workers 8 --no-manifest \
-		--log-level warning --bench-json BENCH_service.json
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.obs.benchjson BENCH_service.json
-
-bench-admission:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		bench-admission --no-manifest --log-level warning \
-		--bench-admission-json BENCH_admission.json
-
-bench-loss:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		loss-sweep --fast --no-manifest --log-level warning \
-		--loss-bench-json BENCH_loss.json
-
-bench-scale:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		bench-scale --no-manifest --log-level warning \
-		--scale-bench-json BENCH_scale.json
-
-bench-cluster:
-	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner \
-		bench-cluster --no-manifest --log-level warning \
-		--cluster-bench-json BENCH_cluster.json
-
-bench-trend:
-	$(PYTHON) tools/bench_trend.py append
 
 top:
 	PYTHONPATH=src:$$PYTHONPATH $(PYTHON) -m repro.experiments.runner top \

@@ -12,11 +12,10 @@ row doubles as a baseline cross-check; as the fraction grows, breakdown
 utilization degrades for both protocols — the PDP pays the recovery
 budget per priority level, the TTP loses whole token visits.
 
-Outputs: a :class:`~repro.experiments.sweeps.SweepResult` table, an ASCII
-breakdown-utilization-versus-loss-fraction figure for both protocols, and
-a summarized-canary document (``BENCH_loss.json``) whose per-cell
-``extra_info`` carries the mean utilizations ``tools/verify_smoke.py``
-guards for monotone degradation.
+Outputs: a :class:`~repro.experiments.sweeps.SweepResult` table and an
+ASCII breakdown-utilization-versus-loss-fraction figure for both
+protocols.  ``tools/verify_smoke.py`` guards the table for a positive
+fault-free baseline and monotone degradation.
 
 Every cell reuses the paired-sampling design: the same seed — hence the
 same message sets — at every loss fraction and for both protocols, so
@@ -24,10 +23,6 @@ the curves are directly comparable and deterministic under ``--jobs``.
 """
 
 from __future__ import annotations
-
-import datetime
-import platform
-import time
 
 import numpy as np
 
@@ -44,7 +39,6 @@ from repro.faults.analysis import (
 )
 from repro.faults.plan import rate_for_loss_fraction
 from repro.obs import timing
-from repro.obs.benchjson import BENCH_SCHEMA_VERSION, cpu_info
 from repro.units import mbps
 
 __all__ = [
@@ -52,7 +46,6 @@ __all__ = [
     "DEFAULT_RECOVERY_S",
     "loss_sweep",
     "loss_figure",
-    "loss_bench_document",
 ]
 
 #: Loss fractions swept by default; 0 pins the fault-free baseline.
@@ -73,8 +66,8 @@ HEADERS: tuple[str, ...] = (
 )
 
 
-def _loss_cell(shared, task) -> tuple[float, float, float]:
-    """One (loss fraction, protocol) estimate: (mean, stderr, seconds)."""
+def _loss_cell(shared, task) -> tuple[float, float]:
+    """One (loss fraction, protocol) estimate: (mean, stderr)."""
     parameters, bandwidth_mbps, recovery_time_s = shared
     loss_fraction, protocol = task
     budget = FaultBudget(
@@ -101,7 +94,6 @@ def _loss_cell(shared, task) -> tuple[float, float, float]:
     rng = np.random.default_rng(parameters.seed)
     sampler = parameters.sampler()
     utilizations: list[float] = []
-    started = time.perf_counter()
     with timing.span(f"loss-sweep/{protocol}/l{loss_fraction:g}"):
         for message_set in sampler.sample_many(rng, parameters.monte_carlo_sets):
             scale = fault_aware_breakdown_scale(accepts, message_set, rel_tol=1e-3)
@@ -110,12 +102,11 @@ def _loss_cell(shared, task) -> tuple[float, float, float]:
                 if scale > 0
                 else 0.0
             )
-    elapsed = time.perf_counter() - started
     arr = np.asarray(utilizations)
     stderr = (
         float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     )
-    return float(arr.mean()), stderr, elapsed
+    return float(arr.mean()), stderr
 
 
 def loss_sweep(
@@ -124,12 +115,11 @@ def loss_sweep(
     loss_fractions: tuple[float, ...] = DEFAULT_LOSS_FRACTIONS,
     recovery_time_s: float = DEFAULT_RECOVERY_S,
     jobs: int | None = 1,
-) -> tuple[SweepResult, dict]:
+) -> SweepResult:
     """Average breakdown utilization versus loss fraction, both protocols.
 
-    Returns ``(result, cell_seconds)`` where ``cell_seconds`` maps
-    ``(loss_fraction, protocol)`` to that cell's wall time — the bench
-    document reports it so the canary tracks sweep cost too.
+    Each cell's wall time is recorded as a ``loss-sweep/<protocol>/l<ℓ>``
+    timing span.
     """
     protocols = ("pdp", "ttp")
     grid = [
@@ -158,7 +148,7 @@ def loss_sweep(
         )
         for fraction in loss_fractions
     ]
-    result = SweepResult(
+    return SweepResult(
         name=(
             f"loss-sweep@{bandwidth_mbps}Mbps "
             f"(T_rec={recovery_time_s:g}s, token-loss budget)"
@@ -166,8 +156,6 @@ def loss_sweep(
         headers=HEADERS,
         rows=tuple(rows),
     )
-    cell_seconds = {task: cell[2] for task, cell in by_task.items()}
-    return result, cell_seconds
 
 
 def loss_figure(result: SweepResult) -> str:
@@ -185,88 +173,3 @@ def loss_figure(result: SweepResult) -> str:
         },
         title="breakdown utilization vs loss fraction",
     )
-
-
-def _cell_stats(seconds: float) -> dict:
-    """Single-measurement stats block (the sweep runs each cell once)."""
-    return {
-        "min": seconds,
-        "max": seconds,
-        "mean": seconds,
-        "stddev": 0.0,
-        "median": seconds,
-        "iqr": 0.0,
-        "q1": seconds,
-        "q3": seconds,
-        "ops": 1.0 / seconds if seconds > 0 else None,
-        "total": seconds,
-        "rounds": 1,
-        "iterations": 1,
-    }
-
-
-def loss_bench_document(
-    result: SweepResult,
-    cell_seconds: dict,
-    parameters: PaperParameters,
-    bandwidth_mbps: float,
-    recovery_time_s: float,
-) -> dict:
-    """The ``BENCH_loss.json`` canary document.
-
-    One benchmark entry per (protocol, loss fraction) cell; the mean
-    breakdown utilization and its stderr ride in ``extra_info`` so the
-    verify guard can assert the loss-degradation shape (monotone
-    non-increasing, positive fault-free baseline) without re-running the
-    sweep.
-    """
-    columns = {"pdp": ("IEEE 802.5", 3), "ttp": ("FDDI", 5)}
-    benchmarks = []
-    for protocol, (column, stderr_index) in columns.items():
-        for row in result.rows:
-            fraction = float(row[0])
-            benchmarks.append(
-                {
-                    "group": "loss",
-                    "name": f"{protocol}_loss_{fraction:g}",
-                    "fullname": (
-                        "repro.experiments.loss_sweep::"
-                        f"{protocol}_loss_{fraction:g}"
-                    ),
-                    "params": {
-                        "protocol": protocol,
-                        "loss_fraction": fraction,
-                        "recovery_time_s": recovery_time_s,
-                        "bandwidth_mbps": bandwidth_mbps,
-                        "n_stations": parameters.n_stations,
-                        "monte_carlo_sets": parameters.monte_carlo_sets,
-                        "seed": parameters.seed,
-                    },
-                    "extra_info": {
-                        "mean_breakdown_utilization": float(
-                            row[result.headers.index(column)]
-                        ),
-                        "stderr": float(row[stderr_index]),
-                        "loss_rate_hz": float(row[1]),
-                    },
-                    "stats": _cell_stats(
-                        float(cell_seconds[(fraction, protocol)])
-                    ),
-                }
-            )
-    uname = platform.uname()
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "datetime": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "pytest_benchmark_version": None,
-        "commit_info": None,
-        "machine": {
-            "node": uname.node,
-            "machine": uname.machine,
-            "system": uname.system,
-            "release": uname.release,
-            "python_version": platform.python_version(),
-            "cpu": cpu_info(arch=uname.machine),
-        },
-        "benchmarks": benchmarks,
-    }

@@ -16,26 +16,22 @@ Usage::
     python -m repro.experiments.runner loadgen --spawn --duration 5 [--churn]
     python -m repro.experiments.runner loadgen --workers 4 --duration 5
     python -m repro.experiments.runner cluster --workers 4 --route-policy hash
-    python -m repro.experiments.runner bench-cluster --duration 4
     python -m repro.experiments.runner top --port 8711 --interval 2
-    python -m repro.experiments.runner bench-admission
     python -m repro.experiments.runner loss-sweep --fast [--recovery-time 1e-3]
 
 ``serve`` runs the admission-control service of :mod:`repro.service`
 (USAGE.md §14) until SIGTERM/ctrl-c, then drains gracefully; ``loadgen``
 drives a running server (or spawns one in-process on an ephemeral port
-with ``--spawn``) and writes the latency/throughput canary
-``BENCH_service.json`` (plus, with ``--latency-csv``, every measured
-latency with its server-side trace id).  ``top`` is the live telemetry
-dashboard over ``/metrics`` (USAGE.md §16).  ``cluster`` runs the
-sharded admission cluster of :mod:`repro.cluster` (USAGE.md §19) — a
-prefork worker pool behind a consistent-hash router — until
-SIGTERM/ctrl-c; ``loadgen --workers N`` spawns such a cluster and
-drives load through its router (per-shard latency split included);
-``bench-cluster`` measures fleet throughput at several worker counts
-and writes ``BENCH_cluster.json``.  All record a session
-summary in the run manifest.  An interrupted run — any experiment — still writes its
-manifest, flagged ``extra.interrupted``, and exits 130.
+with ``--spawn``) and records its throughput/latency report in the run
+manifest (plus, with ``--latency-csv``, every measured latency with its
+server-side trace id).  ``top`` is the live telemetry dashboard over
+``/metrics`` (USAGE.md §16).  ``cluster`` runs the sharded admission
+cluster of :mod:`repro.cluster` (USAGE.md §19) — a prefork worker pool
+behind a consistent-hash router — until SIGTERM/ctrl-c; ``loadgen
+--workers N`` spawns such a cluster and drives load through its router
+(per-shard latency split included).  All record a session summary in
+the run manifest.  An interrupted run — any experiment — still writes
+its manifest, flagged ``extra.interrupted``, and exits 130.
 
 The ``fuzz`` experiment runs the differential verification harness
 (:mod:`repro.verify`): a seeded, deterministic campaign that pits the
@@ -60,17 +56,15 @@ and ``--cache-dir DIR`` persists the content-addressed result cache
 across runs; both are documented in USAGE.md §13.  Cache traffic shows
 up as ``cache.*`` metrics in the manifest.  ``--admission-engine
 {scalar,incremental,auto}`` pins the admission engine the same way
-(USAGE.md §15); ``bench-admission`` measures both engines head to head
-(cold vs warm cache, check-heavy vs churn-heavy mixes) and writes the
-``BENCH_admission.json`` canary.
+(USAGE.md §15).
 
 ``loss-sweep`` estimates average breakdown utilization for both
 protocols under the retransmission-aware criteria of
 :mod:`repro.faults.analysis` across a range of medium loss fractions,
-prints the breakdown-versus-loss figure, and writes the
-``BENCH_loss.json`` canary (USAGE.md §17).  ``--loss-fractions`` takes a
-comma-separated list, ``--recovery-time`` the charged token
-claim/recovery latency in seconds.
+prints the breakdown-versus-loss figure, and records the table in the
+run manifest (``--csv`` also writes it as CSV; USAGE.md §17).
+``--loss-fractions`` takes a comma-separated list, ``--recovery-time``
+the charged token claim/recovery latency in seconds.
 
 Observability (see :mod:`repro.obs` and docs/USAGE.md §11):
 
@@ -261,66 +255,12 @@ def _run_cluster(args: argparse.Namespace, manifest_extra: dict) -> list[str]:
     return []
 
 
-def _run_bench_cluster(
-    args: argparse.Namespace, seed: int, manifest_extra: dict
-) -> list[str]:
-    import json
-
-    from repro.experiments.cluster_bench import (
-        cluster_bench_document,
-        run_cluster_bench,
-    )
-
-    counts = tuple(
-        int(part)
-        for part in (args.cluster_counts or "1,4").split(",")
-        if part.strip()
-    )
-    results = run_cluster_bench(
-        seed,
-        worker_counts=counts,
-        duration_s=args.duration,
-        load_workers=args.load_workers,
-        route_policy=args.route_policy,
-        utilization_cap=args.utilization_cap,
-        catalogue_size=args.catalogue,
-        service=_service_config(args, port=0),
-    )
-    document = cluster_bench_document(results)
-    for bench in document["benchmarks"]:
-        info = bench["extra_info"]
-        line = (
-            f"  {bench['name']:<10} "
-            f"{info['report']['throughput_rps']:8.0f} req/s  "
-            f"p99={info['report']['latency_s'].get('p99', 0) * 1e3:.3f} ms"
-        )
-        if "scaling_vs_single" in info:
-            line += f"  scaling={info['scaling_vs_single']:.2f}x"
-        console(line)
-    out_path = args.cluster_bench_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
-    manifest_extra["cluster_bench"] = {
-        bench["name"]: {
-            key: value
-            for key, value in bench["extra_info"].items()
-            if key != "fleet"
-        }
-        for bench in document["benchmarks"]
-    }
-    return [out_path]
-
-
 def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> list[str]:
     import asyncio
-    import dataclasses
-    import json
 
     from repro.service.loadgen import (
         LoadConfig,
-        bench_document,
+        admission_cache_summary,
         run_against_spawned_cluster,
         run_against_spawned_server,
         run_load,
@@ -350,7 +290,7 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
         report, fleet = asyncio.run(run_against_spawned_cluster(cluster, load))
         summary = None
     elif args.spawn:
-        config = dataclasses.replace(_service_config(args, port=0))
+        config = _service_config(args, port=0)
         report, summary = asyncio.run(run_against_spawned_server(config, load))
     else:
         report = asyncio.run(run_load(load))
@@ -401,11 +341,12 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
         f"rejected={report.rejected}  shed={report.shed} "
         f"draining={report.draining}  errors={report.errors}"
     )
-    document = bench_document(report, config=load, server_summary=summary)
+    manifest_extra["loadgen"] = report.to_dict()
     if fleet is not None:
-        document["benchmarks"][0]["extra_info"]["fleet"] = fleet
+        manifest_extra["fleet"] = fleet
     if summary is not None:
-        cache = document["benchmarks"][0]["extra_info"]["admission_cache"]
+        cache = admission_cache_summary(summary)
+        manifest_extra["admission_cache"] = cache
         ratio = cache["hit_ratio"]
         console(
             f"admission cache: hits={cache['hits']:.0f} "
@@ -413,15 +354,7 @@ def _run_loadgen(args: argparse.Namespace, seed: int, manifest_extra: dict) -> l
             + (f"{ratio:.3f}" if ratio is not None else "n/a")
             + f"  engine={summary.get('admission_engine')}"
         )
-    with open(args.bench_json, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {args.bench_json}")
-    manifest_extra["loadgen"] = report.to_dict()
-    artifacts = [args.bench_json]
-    if args.latency_csv:
-        artifacts.append(args.latency_csv)
-    return artifacts
+    return [args.latency_csv] if args.latency_csv else []
 
 
 def _run_top(args: argparse.Namespace, manifest_extra: dict) -> int:
@@ -445,41 +378,11 @@ def _run_top(args: argparse.Namespace, manifest_extra: dict) -> int:
     return code
 
 
-def _run_admission_bench(
-    args: argparse.Namespace, seed: int, manifest_extra: dict
-) -> list[str]:
-    import json
-
-    from repro.experiments.admission_bench import run_admission_bench
-
-    document = run_admission_bench(seed)
-    for bench in document["benchmarks"]:
-        stats = bench["stats"]
-        ratio = bench["extra_info"]["cache_hit_ratio"]
-        console(
-            f"  {bench['name']:<28} mean={stats['mean'] * 1e6:8.1f} us  "
-            f"p50={stats['median'] * 1e6:8.1f} us  hit_ratio="
-            + (f"{ratio:.3f}" if ratio is not None else "  n/a")
-        )
-    out_path = args.bench_admission_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
-    manifest_extra["admission_bench"] = {
-        bench["name"]: bench["extra_info"] for bench in document["benchmarks"]
-    }
-    return [out_path]
-
-
 def _run_loss_sweep(
     args: argparse.Namespace, params: PaperParameters, manifest_extra: dict
 ) -> list[str]:
-    import json
-
     from repro.experiments.loss_sweep import (
         DEFAULT_LOSS_FRACTIONS,
-        loss_bench_document,
         loss_figure,
         loss_sweep,
     )
@@ -492,7 +395,7 @@ def _run_loss_sweep(
         )
     else:
         fractions = DEFAULT_LOSS_FRACTIONS
-    result, cell_seconds = loss_sweep(
+    result = loss_sweep(
         params,
         args.bandwidth,
         loss_fractions=fractions,
@@ -508,51 +411,11 @@ def _run_loss_sweep(
         write_csv(args.csv, result.headers, result.rows)
         console(f"wrote {args.csv}")
         artifacts.append(args.csv)
-    document = loss_bench_document(
-        result, cell_seconds, params, args.bandwidth, args.recovery_time
-    )
-    out_path = args.loss_bench_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
     manifest_extra["loss_sweep"] = {
-        bench["name"]: bench["extra_info"] for bench in document["benchmarks"]
+        "headers": list(result.headers),
+        "rows": [[float(value) for value in row] for row in result.rows],
     }
-    artifacts.append(out_path)
     return artifacts
-
-
-def _run_scale_bench(
-    args: argparse.Namespace, params: PaperParameters, manifest_extra: dict
-) -> list[str]:
-    import json
-
-    from repro.experiments.scale_bench import (
-        run_scale_bench,
-        scale_bench_document,
-    )
-
-    result = run_scale_bench(
-        params,
-        n_streams=args.scale_streams,
-        bandwidth_mbps=args.bandwidth,
-        mc_eps=args.mc_eps if args.mc_eps is not None else 5e-4,
-        mc_strata=args.mc_strata if args.mc_strata is not None else 8,
-        mc_antithetic=args.antithetic,
-    )
-    console("columnar scale benchmark")
-    console(result.summary())
-    document = scale_bench_document(result)
-    out_path = args.scale_bench_json
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
-    console(f"wrote {out_path}")
-    manifest_extra["scale_bench"] = {
-        bench["name"]: bench["extra_info"] for bench in document["benchmarks"]
-    }
-    return [out_path]
 
 
 def _dispatch(
@@ -569,16 +432,10 @@ def _dispatch(
         artifacts.extend(_run_loadgen(args, params.seed, manifest_extra))
     if args.experiment == "cluster":
         artifacts.extend(_run_cluster(args, manifest_extra))
-    if args.experiment == "bench-cluster":
-        artifacts.extend(_run_bench_cluster(args, params.seed, manifest_extra))
     if args.experiment == "top":
         exit_code = _run_top(args, manifest_extra)
-    if args.experiment == "bench-admission":
-        artifacts.extend(_run_admission_bench(args, params.seed, manifest_extra))
     if args.experiment == "loss-sweep":
         artifacts.extend(_run_loss_sweep(args, params, manifest_extra))
-    if args.experiment == "bench-scale":
-        artifacts.extend(_run_scale_bench(args, params, manifest_extra))
     if args.experiment == "fuzz":
         from repro.verify import FuzzConfig, run_fuzz, run_mutation_smoke
 
@@ -655,8 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=[
             "figure1", "ttrt", "frames", "periods", "sba", "ringsize",
             "throughput", "crossover", "sharpness", "report", "fuzz",
-            "serve", "loadgen", "top", "bench-admission", "loss-sweep",
-            "bench-scale", "cluster", "bench-cluster", "all",
+            "serve", "loadgen", "top", "loss-sweep", "cluster", "all",
         ],
     )
     service = parser.add_argument_group(
@@ -719,13 +575,9 @@ def main(argv: list[str] | None = None) -> int:
         help="loadgen: mutation-heavy op mix (30%% admits / 30%% "
         "releases) instead of the 5%%/5%% serving trickle",
     )
-    service.add_argument(
-        "--bench-json", type=str, default="BENCH_service.json",
-        metavar="PATH", help="loadgen: canary output path",
-    )
     cluster = parser.add_argument_group(
-        "admission cluster", "options for the cluster/bench-cluster "
-        "commands and loadgen --workers (USAGE.md §19)"
+        "admission cluster", "options for the cluster command and "
+        "loadgen --workers (USAGE.md §19)"
     )
     cluster.add_argument(
         "--workers", type=int, default=0, metavar="N",
@@ -742,15 +594,6 @@ def main(argv: list[str] | None = None) -> int:
         "--utilization-cap", type=float, default=0.9,
         help="cluster: the fleet-wide utilization budget the router's "
         "lease ledger splits across workers",
-    )
-    cluster.add_argument(
-        "--cluster-counts", type=str, default=None, metavar="N0,N1,...",
-        help="bench-cluster: comma-separated worker counts to measure "
-        "(default: 1,4)",
-    )
-    cluster.add_argument(
-        "--cluster-bench-json", type=str, default="BENCH_cluster.json",
-        metavar="PATH", help="bench-cluster: canary output path",
     )
     service.add_argument(
         "--latency-csv", type=str, default=None, metavar="PATH",
@@ -787,32 +630,15 @@ def main(argv: list[str] | None = None) -> int:
         "--once", action="store_true",
         help="top: print a single frame (no ANSI redraw) and exit",
     )
-    service.add_argument(
-        "--bench-admission-json", type=str, default="BENCH_admission.json",
-        metavar="PATH", help="bench-admission: canary output path",
-    )
-    parser.add_argument(
-        "--loss-bench-json", type=str, default="BENCH_loss.json",
-        metavar="PATH", help="loss-sweep: canary output path",
-    )
-    parser.add_argument(
-        "--scale-bench-json", type=str, default="BENCH_scale.json",
-        metavar="PATH", help="bench-scale: canary output path",
-    )
-    parser.add_argument(
-        "--scale-streams", type=int, default=1_000_000, metavar="N",
-        help="bench-scale: columnar set size (default: one million)",
-    )
     parser.add_argument(
         "--mc-eps", type=float, default=None, metavar="EPS",
         help="run Monte Carlo cells as streaming estimates stopping at "
-        "CI half-width EPS (default: fixed-N paper sampling); "
-        "bench-scale uses 5e-4 when unset",
+        "CI half-width EPS (default: fixed-N paper sampling)",
     )
     parser.add_argument(
         "--mc-strata", type=int, default=None, metavar="S",
         help="Latin-hypercube period strata per streaming chunk "
-        "(default: 1; bench-scale's variance-reduced run uses 8)",
+        "(default: 1)",
     )
     parser.add_argument(
         "--antithetic", action="store_true",
@@ -921,10 +747,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     params = build_parameters(args.fast, args.sets, args.stations)
-    if args.mc_eps is not None and args.experiment != "bench-scale":
-        # bench-scale drives the streaming estimator itself (it compares
-        # both modes); everywhere else --mc-eps switches the Monte Carlo
-        # cells to accuracy-targeted streaming estimation.
+    if args.mc_eps is not None:
+        # --mc-eps switches the Monte Carlo cells to accuracy-targeted
+        # streaming estimation.
         params = params.with_streaming_mc(
             args.mc_eps,
             strata=args.mc_strata if args.mc_strata is not None else 1,

@@ -1,6 +1,8 @@
-"""Million-stream scale benchmark (``make bench-scale`` -> BENCH_scale.json).
+"""Columnar scale measurements behind the verify scale guard.
 
-Two performance claims of the columnar engine are tracked as a canary:
+Two performance claims of the columnar engine, measured in one process
+so their ratios hold on any host (``tools/verify_smoke.py`` runs this at
+reduced size and asserts both):
 
 1. **Columnar throughput.**  One process builds a :class:`StreamTable` of
    a million streams (periods drawn from a small catalogue of distinct
@@ -21,17 +23,10 @@ Two performance claims of the columnar engine are tracked as a canary:
    to certify the same accuracy) and once with Latin-hypercube period
    stratification plus antithetic pairing.  The evaluations-to-target
    ratio quantifies the variance reduction.
-
-The document follows the summarized pytest-benchmark schema of
-:mod:`repro.obs.benchjson` (``stats.mean`` = seconds per stream,
-``stats.ops`` = streams per second), so ``tools/bench_trend.py`` tracks
-it across PRs like every other ``BENCH_*.json`` canary.
 """
 
 from __future__ import annotations
 
-import datetime
-import platform
 import time
 from dataclasses import dataclass
 
@@ -48,14 +43,9 @@ from repro.messages.generators import MessageSetSampler
 from repro.messages.message_set import MessageSet
 from repro.messages.stream import SynchronousStream
 from repro.messages.table import StreamTable
-from repro.obs.benchjson import BENCH_SCHEMA_VERSION, cpu_info
 from repro.units import mbps
 
-__all__ = [
-    "ScaleBenchResult",
-    "run_scale_bench",
-    "scale_bench_document",
-]
+__all__ = ["ScaleBenchResult", "run_scale_bench"]
 
 
 @dataclass(frozen=True)
@@ -72,9 +62,7 @@ class ScaleBenchResult:
     object_schedulable: bool
     object_ttp_scale: float
     naive: StreamingBreakdownEstimate
-    naive_seconds: float
     vr: StreamingBreakdownEstimate
-    vr_seconds: float
     mc_eps: float
     mc_strata: int
     mc_antithetic: bool
@@ -105,27 +93,6 @@ class ScaleBenchResult:
         number of breakdown evaluations needed to certify the target CI.
         """
         return self.naive.evaluations / self.vr.evaluations
-
-    def summary(self) -> str:
-        """Console rendering of the headline numbers."""
-        lines = [
-            f"columnar: {self.n_streams:,} streams analysed in "
-            f"{self.columnar_seconds:.3f}s "
-            f"({self.columnar_streams_per_sec:,.0f} streams/s)",
-            f"object:   {self.baseline_streams:,} streams analysed in "
-            f"{self.object_seconds:.3f}s "
-            f"({self.object_streams_per_sec:,.0f} streams/s)",
-            f"speedup:  {self.speedup:,.1f}x per-stream throughput",
-            f"mc naive: {self.naive.evaluations} evaluations to "
-            f"half-width <= {self.mc_eps:g} "
-            f"(mean {self.naive.mean:.4f}, converged={self.naive.converged})",
-            f"mc vr:    {self.vr.evaluations} evaluations "
-            f"(strata={self.mc_strata}, antithetic={self.mc_antithetic}) "
-            f"(mean {self.vr.mean:.4f}, converged={self.vr.converged})",
-            f"mc ratio: {self.mc_eval_ratio:.2f}x fewer evaluations "
-            "to the same accuracy target",
-        ]
-        return "\n".join(lines)
 
 
 def _draw_workload(
@@ -237,7 +204,6 @@ def run_scale_bench(
     sampler = MessageSetSampler(
         n_streams=mc_streams, periods=params.period_distribution()
     )
-    started = time.perf_counter()
     naive = streaming_average_breakdown_utilization(
         pdp,
         sampler,
@@ -248,8 +214,6 @@ def run_scale_bench(
         min_chunks=mc_min_chunks,
         max_sets=mc_max_sets,
     )
-    naive_seconds = time.perf_counter() - started
-    started = time.perf_counter()
     vr = streaming_average_breakdown_utilization(
         pdp,
         sampler,
@@ -262,7 +226,6 @@ def run_scale_bench(
         strata=mc_strata,
         antithetic=mc_antithetic,
     )
-    vr_seconds = time.perf_counter() - started
 
     return ScaleBenchResult(
         n_streams=n_streams,
@@ -275,137 +238,10 @@ def run_scale_bench(
         object_schedulable=object_verdict,
         object_ttp_scale=object_scale,
         naive=naive,
-        naive_seconds=naive_seconds,
         vr=vr,
-        vr_seconds=vr_seconds,
         mc_eps=mc_eps,
         mc_strata=mc_strata,
         mc_antithetic=mc_antithetic,
         bandwidth_mbps=bandwidth_mbps,
         seed=params.seed,
     )
-
-
-def _throughput_stats(seconds: float, units: int) -> dict:
-    """Single-measurement stats block in per-unit seconds (ops = units/s)."""
-    per_unit = seconds / units
-    return {
-        "min": per_unit,
-        "max": per_unit,
-        "mean": per_unit,
-        "stddev": 0.0,
-        "median": per_unit,
-        "iqr": 0.0,
-        "q1": per_unit,
-        "q3": per_unit,
-        "ops": units / seconds if seconds > 0 else None,
-        "total": seconds,
-        "rounds": 1,
-        "iterations": 1,
-    }
-
-
-def _machine_block() -> dict:
-    uname = platform.uname()
-    return {
-        "node": uname.node,
-        "machine": uname.machine,
-        "system": uname.system,
-        "release": uname.release,
-        "python_version": platform.python_version(),
-        "cpu": cpu_info(arch=uname.machine),
-    }
-
-
-def scale_bench_document(result: ScaleBenchResult) -> dict:
-    """The BENCH_scale.json payload for one run.
-
-    Throughput entries report per-stream seconds (``ops`` = streams/s);
-    Monte Carlo entries report per-evaluation seconds.  The headline
-    ratios — columnar speedup and variance-reduction factor — ride in
-    ``extra_info`` of the columnar and ``mc_streaming_vr`` entries.
-    """
-    shared = {
-        "bandwidth_mbps": result.bandwidth_mbps,
-        "seed": result.seed,
-    }
-    benchmarks = [
-        {
-            "group": "scale",
-            "name": f"columnar_analyze_{result.n_streams}",
-            "fullname": f"scale_bench::columnar_analyze_{result.n_streams}",
-            "params": None,
-            "extra_info": {
-                **shared,
-                "n_streams": result.n_streams,
-                "distinct_periods": result.distinct_periods,
-                "streams_per_sec": result.columnar_streams_per_sec,
-                "speedup_vs_object": result.speedup,
-                "schedulable": result.columnar_schedulable,
-                "ttp_saturation_scale": result.columnar_ttp_scale,
-            },
-            "stats": _throughput_stats(result.columnar_seconds, result.n_streams),
-        },
-        {
-            "group": "scale",
-            "name": f"object_analyze_{result.baseline_streams}",
-            "fullname": f"scale_bench::object_analyze_{result.baseline_streams}",
-            "params": None,
-            "extra_info": {
-                **shared,
-                "n_streams": result.baseline_streams,
-                "distinct_periods": result.distinct_periods,
-                "streams_per_sec": result.object_streams_per_sec,
-                "schedulable": result.object_schedulable,
-                "ttp_saturation_scale": result.object_ttp_scale,
-            },
-            "stats": _throughput_stats(
-                result.object_seconds, result.baseline_streams
-            ),
-        },
-        {
-            "group": "mc",
-            "name": "mc_streaming_naive",
-            "fullname": "scale_bench::mc_streaming_naive",
-            "params": None,
-            "extra_info": {
-                **shared,
-                "eps": result.mc_eps,
-                "strata": 1,
-                "antithetic": False,
-                "evaluations": result.naive.evaluations,
-                "mean": result.naive.mean,
-                "half_width": result.naive.half_width,
-                "converged": result.naive.converged,
-            },
-            "stats": _throughput_stats(
-                result.naive_seconds, result.naive.evaluations
-            ),
-        },
-        {
-            "group": "mc",
-            "name": "mc_streaming_vr",
-            "fullname": "scale_bench::mc_streaming_vr",
-            "params": None,
-            "extra_info": {
-                **shared,
-                "eps": result.mc_eps,
-                "strata": result.mc_strata,
-                "antithetic": result.mc_antithetic,
-                "evaluations": result.vr.evaluations,
-                "mean": result.vr.mean,
-                "half_width": result.vr.half_width,
-                "converged": result.vr.converged,
-                "eval_ratio_vs_naive": result.mc_eval_ratio,
-            },
-            "stats": _throughput_stats(result.vr_seconds, result.vr.evaluations),
-        },
-    ]
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "datetime": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "pytest_benchmark_version": None,
-        "commit_info": None,
-        "machine": _machine_block(),
-        "benchmarks": benchmarks,
-    }

@@ -19,6 +19,7 @@ free of mutation bugs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -54,21 +55,18 @@ class RingNetwork:
             raise ConfigurationError(
                 f"a ring needs at least one station, got {self.n_stations!r}"
             )
-        if self.station_spacing_m < 0:
+        for name, value in (
+            ("station spacing", self.station_spacing_m),
+            ("station bit delay", self.station_bit_delay),
+            ("token length", self.token_bits),
+        ):
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+        if not (self.bandwidth_bps > 0 and math.isfinite(self.bandwidth_bps)):
             raise ConfigurationError(
-                f"station spacing must be non-negative, got {self.station_spacing_m!r}"
-            )
-        if self.station_bit_delay < 0:
-            raise ConfigurationError(
-                f"station bit delay must be non-negative, got {self.station_bit_delay!r}"
-            )
-        if self.token_bits < 0:
-            raise ConfigurationError(
-                f"token length must be non-negative, got {self.token_bits!r}"
-            )
-        if self.bandwidth_bps <= 0:
-            raise ConfigurationError(
-                f"bandwidth must be positive, got {self.bandwidth_bps!r}"
+                f"bandwidth must be finite and positive, got {self.bandwidth_bps!r}"
             )
         if not 0.0 < self.velocity_factor <= 1.0:
             raise ConfigurationError(

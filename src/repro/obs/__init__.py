@@ -1,6 +1,6 @@
 """Observability: structured logging, metrics, timing spans, manifests.
 
-The shared instrumentation layer for the whole library.  Four small
+The shared instrumentation layer for the whole library.  Six small
 modules with one design contract between them — *instrumentation never
 changes results*:
 
@@ -17,8 +17,6 @@ changes results*:
 * :mod:`repro.obs.manifest` — run manifests: a JSON provenance record
   (seed, parameters, git SHA, environment, metrics, spans) written next
   to every experiment artifact.
-* :mod:`repro.obs.benchjson` — the versioned summarizer behind the
-  ``make bench-quick`` perf canary.
 * :mod:`repro.obs.tracing` — per-request trace/span trees propagated
   across the serving path (server → batcher → engine → cache), with a
   ring buffer behind ``/v1/traces``, a JSONL sink, and a slow-request
@@ -30,7 +28,9 @@ changes results*:
 Everything defaults to *on* because the cost is negligible by design
 (updates are O(1) and happen per batch / per run, never per inner-loop
 iteration); ``metrics.disable()`` and ``timing.disable()`` turn the layer
-into strict no-ops for paranoid benchmarking.
+into strict no-ops for paranoid benchmarking.  Performance itself is
+measured by the repository benchmark, ``python3 perfbench/run.py``,
+whose ``--trace 1`` mode adds a per-layer ledger.
 """
 
 from __future__ import annotations

@@ -3,10 +3,8 @@
 ``runner loadgen`` drives a live server with a configurable worker fleet
 and reports what the service actually sustained: throughput, latency
 percentiles, shed (429) and drain (503) counts, and the server's own
-``service.*`` metrics.  The report lands in ``BENCH_service.json`` using
-the same summarized canary schema as the other ``BENCH_*.json`` files
-(:mod:`repro.obs.benchjson` schema version 2), so the performance
-trajectory of the service is tracked exactly like the figures'.
+``service.*`` metrics.  The runner records the report in its run
+manifest (``extra.loadgen``).
 
 Workload model: each worker owns one keep-alive connection and issues
 requests back to back (closed loop) or paced to a target rate.  Streams
@@ -25,16 +23,12 @@ worker; latencies are whatever the host delivers.
 from __future__ import annotations
 
 import asyncio
-import datetime
-import platform
 import random
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ServiceError
-from repro.obs.benchjson import BENCH_SCHEMA_VERSION, cpu_info
 from repro.service.client import AsyncServiceClient, Backoff
 from repro.service.protocol import ServiceConfig
 from repro.service.server import AdmissionServer
@@ -46,7 +40,6 @@ __all__ = [
     "run_against_spawned_server",
     "run_against_spawned_cluster",
     "admission_cache_summary",
-    "bench_document",
     "write_latency_csv",
 ]
 
@@ -352,86 +345,4 @@ def admission_cache_summary(server_summary: dict) -> dict:
         "hits": hits,
         "misses": misses,
         "hit_ratio": hits / total if total else None,
-    }
-
-
-def bench_document(
-    report: LoadReport,
-    *,
-    config: LoadConfig,
-    server_summary: dict | None = None,
-) -> dict:
-    """The run as a ``BENCH_*.json`` canary document.
-
-    Emitted directly in :data:`~repro.obs.benchjson.BENCH_SCHEMA_VERSION`
-    form — per-request latency statistics in ``stats`` (so the fields
-    line up with the pytest-benchmark-derived canaries), throughput and
-    shed counts in ``extra_info``.
-    """
-    samples = report.latencies
-    if samples:
-        q1, median, q3 = (
-            float(x) for x in np.percentile(samples, [25.0, 50.0, 75.0])
-        )
-        stats = {
-            "min": float(min(samples)),
-            "max": float(max(samples)),
-            "mean": float(statistics.fmean(samples)),
-            "stddev": float(statistics.pstdev(samples)),
-            "median": median,
-            "iqr": q3 - q1,
-            "q1": q1,
-            "q3": q3,
-            "ops": report.throughput_rps,
-            "total": float(sum(samples)),
-            "rounds": len(samples),
-            "iterations": 1,
-        }
-    else:
-        stats = {
-            key: None
-            for key in (
-                "min", "max", "mean", "stddev", "median", "iqr", "q1", "q3",
-                "ops", "total", "rounds", "iterations",
-            )
-        }
-    extra_info = {
-        "load_config": {
-            "duration_s": config.duration_s,
-            "workers": config.workers,
-            "target_rps": config.target_rps,
-            "seed": config.seed,
-            "catalogue_size": config.catalogue_size,
-            "admit_fraction": config.admit_fraction,
-            "release_fraction": config.release_fraction,
-        },
-        "report": report.to_dict(),
-    }
-    if server_summary is not None:
-        extra_info["server"] = server_summary
-        extra_info["admission_cache"] = admission_cache_summary(server_summary)
-    uname = platform.uname()
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "datetime": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "pytest_benchmark_version": None,
-        "commit_info": None,
-        "machine": {
-            "node": uname.node,
-            "machine": uname.machine,
-            "system": uname.system,
-            "release": uname.release,
-            "python_version": platform.python_version(),
-            "cpu": cpu_info(arch=uname.machine),
-        },
-        "benchmarks": [
-            {
-                "group": "service",
-                "name": "loadgen",
-                "fullname": "repro.service.loadgen::run_load",
-                "params": None,
-                "extra_info": extra_info,
-                "stats": stats,
-            }
-        ],
     }

@@ -36,6 +36,7 @@ encode/decode helpers shared by the server, both clients, and the tests.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.admission import (
@@ -132,10 +133,21 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"queue_limit must be at least 1, got {self.queue_limit!r}"
             )
-        if self.batch_window_s < 0:
+        if not (self.bandwidth_mbps > 0 and math.isfinite(self.bandwidth_mbps)):
             raise ConfigurationError(
-                f"batch_window_s must be non-negative, got {self.batch_window_s!r}"
+                f"bandwidth_mbps must be finite and positive, got "
+                f"{self.bandwidth_mbps!r}"
             )
+        for name in ("batch_window_s", "drain_grace_s", "slow_trace_s"):
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
+        for name in ("rate_limit_rps", "rate_limit_burst"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ConfigurationError(
                 f"trace_sample_rate must be within [0, 1], got "
@@ -144,10 +156,6 @@ class ServiceConfig:
         if self.trace_buffer < 1:
             raise ConfigurationError(
                 f"trace_buffer must be at least 1, got {self.trace_buffer!r}"
-            )
-        if self.slow_trace_s < 0:
-            raise ConfigurationError(
-                f"slow_trace_s must be non-negative, got {self.slow_trace_s!r}"
             )
         if self.utilization_cap is not None and not self.utilization_cap >= 0:
             raise ConfigurationError(

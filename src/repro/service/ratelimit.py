@@ -26,11 +26,11 @@ class TokenBucket:
     __slots__ = ("rate", "burst", "tokens", "updated")
 
     def __init__(self, rate_per_s: float, burst: float, now: float):
-        if rate_per_s <= 0:
+        if not rate_per_s > 0:  # also rejects NaN
             raise ConfigurationError(
                 f"rate_per_s must be positive, got {rate_per_s!r}"
             )
-        if burst < 1:
+        if not burst >= 1:  # also rejects NaN
             raise ConfigurationError(f"burst must be at least 1, got {burst!r}")
         self.rate = float(rate_per_s)
         self.burst = float(burst)

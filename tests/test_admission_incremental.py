@@ -9,6 +9,8 @@ engine resolution precedence, and the canonical-signature key contract.
 """
 
 import os
+import random
+import uuid
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.analysis.ttp import TTPAnalysis
 from repro.cache.keys import chained_prefix_keys, set_signature
 from repro.errors import AdmissionError, ConfigurationError
 from repro.network.standards import fddi_ring, ieee_802_5_ring, paper_frame_format
+from repro.obs import metrics
 from repro.units import mbps, milliseconds
 
 FRAME = paper_frame_format()
@@ -235,3 +238,95 @@ class TestSnapshotMechanics:
         # … and the next decision rebuilds before answering.
         assert ctrl.check(milliseconds(50), 8000).admitted
         assert ctrl._snap_version == ctrl._base_version
+
+
+class TestWarmRepeatCacheHits:
+    """A replayed decision sequence must be served from the result cache.
+
+    One admit/release/check sequence runs twice, each time on a fresh
+    controller, over the same retained content-addressed cache.  The
+    replay admits its starting population in reverse order, so the scalar
+    engine's second pass only hits if :func:`set_signature` ignores
+    admission order (the ``(period, payload)`` multiset is all either
+    criterion depends on).
+    """
+
+    BASE = [(0.032, 16384.0), (0.064, 32768.0), (0.128, 65536.0), (0.256, 8192.0)]
+    MIXES = {"check_heavy": (0.05, 0.05), "churn_heavy": (0.40, 0.30)}
+
+    @staticmethod
+    def _ops(mix: str, n_ops: int = 160, seed: int = 7) -> list[tuple]:
+        admit_fraction, release_fraction = TestWarmRepeatCacheHits.MIXES[mix]
+        rng = random.Random(seed)
+        catalogue = [
+            (
+                rng.choice([0.008, 0.016, 0.032, 0.064, 0.128, 0.256]),
+                float(rng.randrange(8192, 65536, 1024)),
+            )
+            for _ in range(32)
+        ]
+        ops: list[tuple] = []
+        for _ in range(n_ops):
+            roll = rng.random()
+            period_s, payload_bits = rng.choice(catalogue)
+            if roll < release_fraction:
+                ops.append(("release", rng.randrange(1 << 30)))
+            elif roll < release_fraction + admit_fraction:
+                ops.append(("admit", period_s, payload_bits))
+            else:
+                ops.append(("check", period_s, payload_bits))
+        return ops
+
+    @classmethod
+    def _replay(cls, engine: str, namespace: str, ops, base) -> list:
+        analysis = PDPAnalysis(
+            ieee_802_5_ring(mbps(16.0), n_stations=40),
+            FRAME,
+            PDPVariant.MODIFIED,
+        )
+        ctrl = build_admission_controller(
+            analysis,
+            AdmissionPolicy.EXACT,
+            cache_namespace=namespace,
+            engine=engine,
+        )
+        for period_s, payload_bits in base:
+            assert ctrl.request(period_s, payload_bits).admitted
+        admitted: list[int] = []
+        decisions: list = []
+        for op in ops:
+            if op[0] == "check":
+                decisions.append(ctrl.check(op[1], op[2]).admitted)
+            elif op[0] == "admit":
+                decision = ctrl.request(op[1], op[2])
+                decisions.append(decision.admitted)
+                if decision.admitted:
+                    admitted.append(decision.stream_id)
+            elif admitted:
+                stream_id = admitted.pop(op[1] % len(admitted))
+                decisions.append(ctrl.release(stream_id).released)
+        return decisions
+
+    @staticmethod
+    def _counts(namespace: str) -> tuple[float, float]:
+        snap = metrics.snapshot(prefix=f"cache.{namespace}.")
+        return (
+            snap.get(f"cache.{namespace}.hits", {}).get("value", 0.0),
+            snap.get(f"cache.{namespace}.misses", {}).get("value", 0.0),
+        )
+
+    @pytest.mark.parametrize("mix", ["check_heavy", "churn_heavy"])
+    @pytest.mark.parametrize("engine", ["scalar", "incremental"])
+    def test_second_pass_is_identical_and_hit_dominated(self, engine, mix):
+        metrics.enable()
+        namespace = f"warm-repeat-{engine}-{mix}-{uuid.uuid4().hex}"
+        ops = self._ops(mix)
+        cold = self._replay(engine, namespace, ops, self.BASE)
+        hits_before, misses_before = self._counts(namespace)
+        warm = self._replay(engine, namespace, ops, self.BASE[::-1])
+        hits_after, misses_after = self._counts(namespace)
+        hits = hits_after - hits_before
+        misses = misses_after - misses_before
+        assert warm == cold
+        assert any(cold) and not all(cold), "sequence must decide both ways"
+        assert hits > misses, (hits, misses)

@@ -1,15 +1,11 @@
-"""The loss-sweep experiment: table shape, monotone degradation, canary."""
-
-import json
+"""The loss-sweep experiment: table shape, monotone degradation."""
 
 from repro.experiments.loss_sweep import (
     DEFAULT_LOSS_FRACTIONS,
     DEFAULT_RECOVERY_S,
-    loss_bench_document,
     loss_figure,
     loss_sweep,
 )
-from repro.obs.benchjson import BENCH_SCHEMA_VERSION
 
 FRACTIONS = (0.0, 0.01, 0.05)
 
@@ -26,19 +22,14 @@ def run_small(fast_params, jobs=1):
 
 class TestLossSweep:
     def test_table_shape_and_axis(self, fast_params):
-        result, cell_seconds = run_small(fast_params)
+        result = run_small(fast_params)
         assert len(result.rows) == len(FRACTIONS)
         assert [row[0] for row in result.rows] == list(FRACTIONS)
         # The rate axis is loss_fraction / recovery_time.
         assert [row[1] for row in result.rows] == [0.0, 10.0, 50.0]
-        assert set(cell_seconds) == {
-            (fraction, protocol)
-            for fraction in FRACTIONS
-            for protocol in ("pdp", "ttp")
-        }
 
     def test_breakdown_positive_and_monotone_non_increasing(self, fast_params):
-        result, _ = run_small(fast_params)
+        result = run_small(fast_params)
         for column in ("IEEE 802.5", "FDDI"):
             values = [float(v) for v in result.column(column)]
             assert values[0] > 0.0, "fault-free baseline must be schedulable"
@@ -47,12 +38,12 @@ class TestLossSweep:
             ), (column, values)
 
     def test_deterministic_across_jobs(self, fast_params):
-        sequential, _ = run_small(fast_params, jobs=1)
-        parallel, _ = run_small(fast_params, jobs=2)
+        sequential = run_small(fast_params, jobs=1)
+        parallel = run_small(fast_params, jobs=2)
         assert sequential.rows == parallel.rows
 
     def test_figure_renders(self, fast_params):
-        result, _ = run_small(fast_params)
+        result = run_small(fast_params)
         figure = loss_figure(result)
         assert "breakdown utilization vs loss fraction" in figure
         assert "IEEE 802.5" in figure and "FDDI" in figure
@@ -64,41 +55,3 @@ class TestLossSweep:
             for a, b in zip(DEFAULT_LOSS_FRACTIONS, DEFAULT_LOSS_FRACTIONS[1:])
         )
         assert DEFAULT_RECOVERY_S > 0.0
-
-
-class TestLossBenchDocument:
-    def test_document_shape_and_json_clean(self, fast_params):
-        params = fast_params.scaled_down(n_stations=8, monte_carlo_sets=4)
-        result, cell_seconds = loss_sweep(
-            params, 16.0, loss_fractions=FRACTIONS, recovery_time_s=1e-3
-        )
-        document = loss_bench_document(
-            result, cell_seconds, params, 16.0, 1e-3
-        )
-        assert document["schema_version"] == BENCH_SCHEMA_VERSION
-        assert len(document["benchmarks"]) == 2 * len(FRACTIONS)
-        json.dumps(document)  # must be JSON-serializable as-is
-        for bench in document["benchmarks"]:
-            assert bench["group"] == "loss"
-            assert bench["stats"]["rounds"] == 1
-            assert bench["stats"]["total"] >= 0.0
-            assert 0.0 <= bench["extra_info"]["mean_breakdown_utilization"]
-            assert bench["params"]["protocol"] in ("pdp", "ttp")
-
-    def test_document_matches_table(self, fast_params):
-        params = fast_params.scaled_down(n_stations=8, monte_carlo_sets=4)
-        result, cell_seconds = loss_sweep(
-            params, 16.0, loss_fractions=FRACTIONS, recovery_time_s=1e-3
-        )
-        document = loss_bench_document(
-            result, cell_seconds, params, 16.0, 1e-3
-        )
-        by_name = {bench["name"]: bench for bench in document["benchmarks"]}
-        for row in result.rows:
-            fraction = row[0]
-            assert by_name[f"pdp_loss_{fraction:g}"]["extra_info"][
-                "mean_breakdown_utilization"
-            ] == float(row[2])
-            assert by_name[f"ttp_loss_{fraction:g}"]["extra_info"][
-                "mean_breakdown_utilization"
-            ] == float(row[4])

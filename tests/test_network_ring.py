@@ -46,6 +46,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_ring(velocity_factor=0.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "station_spacing_m",
+            "station_bit_delay",
+            "token_bits",
+            "bandwidth_bps",
+            "velocity_factor",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match="got"):
+            make_ring(**{field: value})
+
 
 class TestGeometry:
     def test_ring_length(self):

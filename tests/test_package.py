@@ -92,6 +92,17 @@ class TestRunnerCLI:
         result = self.run_cli("--help")
         assert result.returncode == 0
         assert "figure1" in result.stdout
+        assert "bench" not in result.stdout
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "-inf"])
+    def test_serve_rejects_non_finite_bandwidth(self, bandwidth, tmp_path):
+        result = self.run_cli(
+            "serve", "--port", "0", f"--bandwidth={bandwidth}",
+            "--no-manifest", cwd=tmp_path,
+        )
+        assert result.returncode != 0
+        assert "ConfigurationError" in result.stderr
+        assert "bandwidth_mbps must be finite and positive" in result.stderr
 
     def test_rejects_unknown_experiment(self):
         result = self.run_cli("nonsense")

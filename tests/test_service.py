@@ -33,7 +33,6 @@ from repro.errors import (
 )
 from repro.network.standards import ieee_802_5_ring, paper_frame_format
 from repro.obs import metrics
-from repro.obs.benchjson import summarize_benchmark_json
 from repro.service import (
     AdmissionServer,
     AsyncServiceClient,
@@ -46,7 +45,7 @@ from repro.service import (
 )
 from repro.service.loadgen import (
     LoadConfig,
-    bench_document,
+    admission_cache_summary,
     run_against_spawned_server,
 )
 from repro.service.protocol import (
@@ -101,6 +100,26 @@ class TestProtocol:
             ServiceConfig(batch_max=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(batch_window_s=-0.001)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bandwidth_mbps",
+            "batch_window_s",
+            "drain_grace_s",
+            "slow_trace_s",
+            "rate_limit_rps",
+            "rate_limit_burst",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ServiceConfig(**{field: value})
+
+    def test_config_rejects_non_positive_bandwidth(self):
+        with pytest.raises(ConfigurationError, match="bandwidth_mbps"):
+            ServiceConfig(bandwidth_mbps=0.0)
 
     def test_build_controller_both_protocols(self):
         pdp = build_controller(ServiceConfig(protocol="pdp", n_stations=8))
@@ -184,6 +203,13 @@ class TestRateLimiter:
         wait = bucket.try_acquire(0.0)
         assert wait == pytest.approx(0.1)
         assert bucket.try_acquire(0.0 + wait) == 0.0
+
+    @pytest.mark.parametrize(
+        "rate, burst", [(float("nan"), 2.0), (10.0, float("nan")), (0.0, 2.0)]
+    )
+    def test_bucket_rejects_bad_rate_or_burst(self, rate, burst):
+        with pytest.raises(ConfigurationError):
+            TokenBucket(rate_per_s=rate, burst=burst, now=0.0)
 
     def test_disabled_limiter_always_grants(self):
         limiter = ClientRateLimiter(rate_per_s=0.0)
@@ -598,7 +624,7 @@ class TestServer:
 
 
 class TestLoadgen:
-    def test_spawned_run_and_bench_document(self):
+    def test_spawned_run_reports_latency_and_cache(self):
         service_config = ServiceConfig(port=0, n_stations=8, policy="exact")
         load_config = LoadConfig(duration_s=0.8, workers=4, seed=11)
         report, summary = asyncio.run(
@@ -615,14 +641,12 @@ class TestLoadgen:
         assert report.latency_s["p99"] <= report.latency_s["p999"]
         assert summary["metrics"]["service.batches"]["value"] > 0
 
-        document = bench_document(
-            report, config=load_config, server_summary=summary
+        assert len(report.latencies) == report.requests
+        cache = admission_cache_summary(summary)
+        assert cache["hits"] + cache["misses"] > 0
+        assert cache["hit_ratio"] == pytest.approx(
+            cache["hits"] / (cache["hits"] + cache["misses"])
         )
-        # Already in canary form: the summarizer must pass it through.
-        assert summarize_benchmark_json(document) is document
-        stats = document["benchmarks"][0]["stats"]
-        assert stats["rounds"] == len(report.latencies)
-        assert stats["ops"] == pytest.approx(report.throughput_rps)
 
     def test_workload_is_seed_deterministic(self):
         from repro.service.loadgen import _catalogue

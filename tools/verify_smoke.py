@@ -29,46 +29,34 @@ at nominal rate the service must shed nothing, see zero transport
 errors, keep p99 latency under 250 ms — the operational floor of
 USAGE.md §14 — and its admission result cache must come out
 hit-dominated (the catalogue repeats; misses winning means the
-canonical set signatures broke).
-
-The admission-engine guard then reruns the ``bench-admission`` canary
-in-process: every warm cell must be cache-hit-dominated, and per-cell
-means must stay within 2x of the committed ``BENCH_admission.json``
-baseline (same same-hardware rule as the figure guard).
+canonical set signatures broke).  The canaries read loadgen's results
+from its run manifest (``extra.loadgen``, ``extra.admission_cache``,
+``extra.fleet``).
 
 The lossy-medium canary reruns a small ``loss-sweep`` in-process and
 asserts the retransmission-aware bounds stay *sound*: at loss fractions
 {0, 0.01, 0.05}, every message set the fault-aware analysis accepts must
 meet all deadlines when simulated against a fault plan drawn at the
 budget's rate; breakdown utilization must be positive fault-free and
-monotone non-increasing in the loss fraction.  A committed
-``BENCH_loss.json`` (from ``make bench-loss``) is held to the same shape
-invariants.
+monotone non-increasing in the loss fraction.
 
-The columnar scale guard runs a reduced-size ``bench-scale`` in-process:
-the columnar pipeline must analyse streams at least 50x faster per
-stream than the object path, the variance-reduced streaming Monte Carlo
-run must reach the target CI with no more evaluations than plain
-sampling (and agree with it within the combined CI), and a committed
-``BENCH_scale.json`` must record the same floors.
+The columnar scale guard runs reduced-size scale measurements
+in-process: the columnar pipeline must analyse streams at least 50x
+faster per stream than the object path, and the variance-reduced
+streaming Monte Carlo run must reach the target CI with no more
+evaluations than plain sampling (and agree with it within the combined
+CI).  Both are ratios of two runs in one process, so they hold on any
+host.
 
 The cluster canary spawns a real 2-worker sharded fleet (worker
 subprocesses behind the consistent-hash router) and drives paced load
-through the front: zero transport errors, traffic on every shard, and
-sound fleet accounting — the lease total and the jointly admitted
-utilization must stay within the aggregate cap.  A committed
-``BENCH_cluster.json`` (from ``make bench-cluster``) must carry the
-single-worker baseline and a sound budget in every entry; its measured
-multi-worker scaling ratio is held to a 2.5x floor only when it was
-recorded on a host with 4+ cores (on fewer cores the honest ratio
-cannot exceed ~1x and the floor is skipped with a notice).
+through the front: zero transport errors, traffic on every shard, every
+worker reachable, and sound fleet accounting — the lease total and the
+jointly admitted utilization must stay within the aggregate cap.
 
-Finally the perf-regression guard re-runs the ``bench-quick`` canary
-benchmarks and compares their means against the committed
-``BENCH_figure1.json`` baseline: any benchmark that got more than 2x
-slower (with a 50 ms absolute floor, so microsecond jitter cannot trip
-it) fails the build.  When the baseline was recorded on different
-hardware the comparison is meaningless and is skipped with a notice.
+Finally one ``runner top --once`` frame must render live telemetry.
+Wall-clock performance is measured by ``perfbench/`` (same-run A/B),
+not here.
 
 Exit code 0 on success; raises (nonzero exit) with a diagnostic on any
 violation.  ``make verify`` runs this after the tier-1 test suite.
@@ -85,6 +73,38 @@ import tempfile
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+def _runner_env() -> dict:
+    """The calling environment with ``src/`` on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(REPO_ROOT, "src"), env.get("PYTHONPATH"))
+        if p
+    )
+    return env
+
+
+def _run_loadgen(label: str, *args: str) -> dict:
+    """Run ``runner loadgen ARGS``; returns its manifest's ``extra`` block."""
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
+        manifest_path = os.path.join(tmp, "manifest.json")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments.runner", "loadgen",
+                *args,
+                "--manifest", manifest_path, "--quiet", "--log-level", "error",
+            ],
+            cwd=tmp, env=_runner_env(), capture_output=True, text=True,
+            timeout=600,
+        )
+        if proc.returncode != 0:
+            raise AssertionError(
+                f"{label} exited {proc.returncode}\n"
+                f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
+            )
+        with open(manifest_path, encoding="utf-8") as handle:
+            return json.load(handle)["extra"]
+
+
 def run_smoke() -> None:
     """Execute the smoke run and assert on its artifacts."""
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
@@ -92,11 +112,7 @@ def run_smoke() -> None:
         jsonl_path = os.path.join(tmp, "run.jsonl")
         manifest_path = os.path.join(tmp, "manifest.json")
         cache_dir = os.path.join(tmp, "result-cache")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(REPO_ROOT, "src"),
-                        env.get("PYTHONPATH")) if p
-        )
+        env = _runner_env()
         proc = subprocess.run(
             [
                 sys.executable, "-m", "repro.experiments.runner",
@@ -228,95 +244,6 @@ def run_mutation_smoke_check() -> None:
     )
 
 
-#: Regression thresholds: a benchmark fails only when it is BOTH more
-#: than RATIO times slower than the committed baseline AND slower by at
-#: least FLOOR_S absolute — the floor keeps microsecond-scale benches
-#: from tripping on scheduler jitter.
-_BENCH_RATIO = 2.0
-_BENCH_FLOOR_S = 0.05
-
-#: The bench-quick canary selection (must match the Makefile target).
-_BENCH_CANARY = [
-    "benchmarks/test_bench_figure1.py::test_bench_figure1_single_point",
-    "benchmarks/test_bench_analysis_micro.py",
-]
-
-
-def run_bench_guard() -> None:
-    """Fail on a >2x slowdown against the committed bench canary.
-
-    Compares per-benchmark mean times of a fresh ``bench-quick`` run
-    against ``BENCH_figure1.json``.  Skips (with a notice) when there is
-    no baseline or it was recorded on different hardware — cross-machine
-    wall-clock comparison is noise, not signal.
-    """
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_figure1.json")
-    if not os.path.exists(baseline_path):
-        print("verify_smoke: bench guard skipped (no committed baseline)")
-        return
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.obs.benchjson import summarize_benchmark_json
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
-        fresh_path = os.path.join(tmp, "bench.json")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(REPO_ROOT, "src"),
-                        env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", *_BENCH_CANARY,
-                "--benchmark-only", f"--benchmark-json={fresh_path}", "-q",
-            ],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            timeout=600,
-        )
-        if proc.returncode != 0:
-            raise AssertionError(
-                f"bench canary run exited {proc.returncode}\n"
-                f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-            )
-        with open(fresh_path, encoding="utf-8") as handle:
-            fresh = summarize_benchmark_json(json.load(handle))
-
-    if fresh.get("machine") != baseline.get("machine"):
-        print(
-            "verify_smoke: bench guard skipped (baseline recorded on "
-            f"different hardware: {baseline.get('machine')})"
-        )
-        return
-
-    fresh_means = {
-        bench["fullname"]: bench["stats"]["mean"]
-        for bench in fresh.get("benchmarks", [])
-    }
-    regressions = []
-    for bench in baseline.get("benchmarks", []):
-        name = bench["fullname"]
-        base_mean = bench["stats"]["mean"]
-        now = fresh_means.get(name)
-        if now is None or base_mean is None:
-            continue  # renamed or removed benches are not regressions
-        if now > _BENCH_RATIO * base_mean and now - base_mean > _BENCH_FLOOR_S:
-            regressions.append(
-                f"  {name}: {base_mean * 1e3:.1f} ms -> {now * 1e3:.1f} ms "
-                f"({now / base_mean:.1f}x)"
-            )
-    if regressions:
-        raise AssertionError(
-            "bench canary regressed more than "
-            f"{_BENCH_RATIO}x vs BENCH_figure1.json:\n" + "\n".join(regressions)
-        )
-    print(
-        "verify_smoke: ok (bench guard, "
-        f"{len(fresh_means)} benchmarks within {_BENCH_RATIO}x of baseline)"
-    )
-
-
 #: Service canary load: paced (not closed-loop) so the assertion tests
 #: behaviour at *nominal* load — the service must shed nothing and stay
 #: comfortably under the latency bound when it is not saturated.
@@ -335,152 +262,53 @@ def run_service_canary() -> None:
     paced request budget actually served — a stalled batcher cannot hide
     behind a green exit code.
     """
-    with tempfile.TemporaryDirectory(prefix="repro-service-") as tmp:
-        bench_path = os.path.join(tmp, "BENCH_service.json")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(REPO_ROOT, "src"),
-                        env.get("PYTHONPATH")) if p
+    extra = _run_loadgen(
+        "service canary",
+        "--spawn",
+        "--duration", str(_SERVICE_DURATION_S),
+        "--load-workers", "4",
+        "--target-rps", str(_SERVICE_TARGET_RPS),
+    )
+    report = extra["loadgen"]
+    if report["shed"] or report["draining"]:
+        raise AssertionError(
+            f"service shed at nominal load: shed={report['shed']} "
+            f"draining={report['draining']} (target "
+            f"{_SERVICE_TARGET_RPS} rps, queue should be nowhere near "
+            "full)"
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.experiments.runner", "loadgen",
-                "--spawn",
-                "--duration", str(_SERVICE_DURATION_S),
-                "--load-workers", "4",
-                "--target-rps", str(_SERVICE_TARGET_RPS),
-                "--bench-json", bench_path,
-                "--no-manifest", "--quiet", "--log-level", "error",
-            ],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            timeout=600,
+    if report["errors"]:
+        raise AssertionError(
+            f"service canary saw {report['errors']} transport errors"
         )
-        if proc.returncode != 0:
-            raise AssertionError(
-                f"service canary exited {proc.returncode}\n"
-                f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-            )
-        with open(bench_path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        report = document["benchmarks"][0]["extra_info"]["report"]
-        if report["shed"] or report["draining"]:
-            raise AssertionError(
-                f"service shed at nominal load: shed={report['shed']} "
-                f"draining={report['draining']} (target "
-                f"{_SERVICE_TARGET_RPS} rps, queue should be nowhere near "
-                "full)"
-            )
-        if report["errors"]:
-            raise AssertionError(
-                f"service canary saw {report['errors']} transport errors"
-            )
-        p99 = report["latency_s"].get("p99")
-        if p99 is None or p99 > _SERVICE_P99_BOUND_S:
-            raise AssertionError(
-                f"service p99 latency {p99!r}s exceeds the "
-                f"{_SERVICE_P99_BOUND_S}s bound at nominal load"
-            )
-        floor = 0.5 * _SERVICE_TARGET_RPS * _SERVICE_DURATION_S
-        if report["requests"] < floor:
-            raise AssertionError(
-                f"service served only {report['requests']} requests; "
-                f"expected at least {floor:.0f} at the paced rate"
-            )
-        # Hit-ratio guard: the catalogue repeats, so a warm serving mix
-        # must be hit-dominated.  Miss-dominated decisions mean the
-        # canonical set signatures stopped matching (the regression this
-        # guard exists for — the pre-incremental keys were
-        # order-sensitive and the canary ran 3:1 miss:hit).
-        cache = document["benchmarks"][0]["extra_info"]["admission_cache"]
-        if cache["hits"] <= cache["misses"]:
-            raise AssertionError(
-                "admission cache is miss-dominated at a warm serving mix: "
-                f"hits={cache['hits']:.0f} misses={cache['misses']:.0f} — "
-                "set signatures are not matching across decisions"
-            )
+    p99 = report["latency_s"].get("p99")
+    if p99 is None or p99 > _SERVICE_P99_BOUND_S:
+        raise AssertionError(
+            f"service p99 latency {p99!r}s exceeds the "
+            f"{_SERVICE_P99_BOUND_S}s bound at nominal load"
+        )
+    floor = 0.5 * _SERVICE_TARGET_RPS * _SERVICE_DURATION_S
+    if report["requests"] < floor:
+        raise AssertionError(
+            f"service served only {report['requests']} requests; "
+            f"expected at least {floor:.0f} at the paced rate"
+        )
+    # Hit-ratio guard: the catalogue repeats, so a warm serving mix
+    # must be hit-dominated.  Miss-dominated decisions mean the
+    # canonical set signatures stopped matching (the regression this
+    # guard exists for — the pre-incremental keys were
+    # order-sensitive and the canary ran 3:1 miss:hit).
+    cache = extra["admission_cache"]
+    if cache["hits"] <= cache["misses"]:
+        raise AssertionError(
+            "admission cache is miss-dominated at a warm serving mix: "
+            f"hits={cache['hits']:.0f} misses={cache['misses']:.0f} — "
+            "set signatures are not matching across decisions"
+        )
     print(
         "verify_smoke: ok (service canary, "
         f"{report['requests']} requests, p99 {p99 * 1e3:.1f} ms, 0 shed, "
         f"cache hit ratio {cache['hit_ratio']:.2f})"
-    )
-
-
-#: Admission-engine guard thresholds (the cells are ~30-900 us/op, so
-#: the absolute floor is far below the service-bench floor — 1 ms of
-#: drift on a 30 us op is a real regression, not scheduler jitter).
-_ADMISSION_RATIO = 2.0
-_ADMISSION_FLOOR_S = 0.001
-
-
-def run_admission_guard() -> None:
-    """Fresh ``bench-admission`` run: warm mixes must hit, means must hold.
-
-    * every **warm** cell must be cache-hit-dominated (the op sequence
-      repeats verbatim against retained content-addressed entries — a
-      miss-dominated warm pass means the canonical signatures broke);
-    * per-cell means are compared against the committed
-      ``BENCH_admission.json`` baseline with the same >2x-and-floor rule
-      as the figure canary (skipped off-baseline-hardware).
-    """
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.experiments.admission_bench import run_admission_bench
-    from repro.experiments.config import PaperParameters
-
-    fresh = run_admission_bench(PaperParameters().seed)
-    for bench in fresh["benchmarks"]:
-        if bench["params"]["phase"] != "warm":
-            continue
-        ratio = bench["extra_info"]["cache_hit_ratio"]
-        if ratio is None or ratio <= 0.5:
-            raise AssertionError(
-                f"warm admission mix {bench['name']} is miss-dominated "
-                f"(hit ratio {ratio!r}) — canonical set signatures are "
-                "not matching across identical decision sequences"
-            )
-
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_admission.json")
-    if not os.path.exists(baseline_path):
-        print(
-            "verify_smoke: ok (admission guard, warm mixes hit-dominated; "
-            "no committed baseline to compare against)"
-        )
-        return
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    if fresh.get("machine") != baseline.get("machine"):
-        print(
-            "verify_smoke: ok (admission guard, warm mixes hit-dominated; "
-            "baseline recorded on different hardware, means not compared)"
-        )
-        return
-    fresh_means = {
-        bench["fullname"]: bench["stats"]["mean"]
-        for bench in fresh["benchmarks"]
-    }
-    regressions = []
-    for bench in baseline.get("benchmarks", []):
-        name = bench["fullname"]
-        base_mean = bench["stats"]["mean"]
-        now = fresh_means.get(name)
-        if now is None or base_mean is None:
-            continue
-        if (
-            now > _ADMISSION_RATIO * base_mean
-            and now - base_mean > _ADMISSION_FLOOR_S
-        ):
-            regressions.append(
-                f"  {name}: {base_mean * 1e6:.1f} us -> {now * 1e6:.1f} us "
-                f"({now / base_mean:.1f}x)"
-            )
-    if regressions:
-        raise AssertionError(
-            "admission engine regressed more than "
-            f"{_ADMISSION_RATIO}x vs BENCH_admission.json:\n"
-            + "\n".join(regressions)
-        )
-    print(
-        "verify_smoke: ok (admission guard, warm mixes hit-dominated, "
-        f"{len(fresh_means)} cells within {_ADMISSION_RATIO}x of baseline)"
     )
 
 
@@ -514,8 +342,7 @@ def run_loss_canary() -> None:
       both protocols;
     * for each probed loss fraction, message sets scaled to 90% of the
       fault-aware breakdown (hence accepted non-vacuously) must meet
-      every deadline when fault-injected at the declared rate;
-    * a committed ``BENCH_loss.json`` must honour the same shape.
+      every deadline when fault-injected at the declared rate.
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     import numpy as np
@@ -534,7 +361,7 @@ def run_loss_canary() -> None:
     from repro.sim.pdp_sim import PDPSimConfig
 
     params = PaperParameters().scaled_down(n_stations=8, monte_carlo_sets=4)
-    result, _ = loss_sweep(
+    result = loss_sweep(
         params,
         16.0,
         loss_fractions=_LOSS_FRACTIONS,
@@ -602,44 +429,18 @@ def run_loss_canary() -> None:
             "the soundness assertion is vacuous"
         )
 
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_loss.json")
-    suffix = "no committed BENCH_loss.json"
-    if os.path.exists(baseline_path):
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        for protocol in ("pdp", "ttp"):
-            cells = sorted(
-                (
-                    bench["params"]["loss_fraction"],
-                    bench["extra_info"]["mean_breakdown_utilization"],
-                )
-                for bench in baseline.get("benchmarks", [])
-                if bench["params"]["protocol"] == protocol
-            )
-            if not cells:
-                raise AssertionError(
-                    f"BENCH_loss.json has no {protocol} cells"
-                )
-            _assert_loss_shape(
-                f"BENCH_loss.json {protocol}",
-                [fraction for fraction, _ in cells],
-                [mean for _, mean in cells],
-            )
-        suffix = "committed BENCH_loss.json shape holds"
     print(
         f"verify_smoke: ok (loss canary: {checked} accepted sets "
         f"deadline-safe under injected faults at fractions "
-        f"{_LOSS_FRACTIONS}; {suffix})"
+        f"{_LOSS_FRACTIONS})"
     )
 
 
 #: Scale-guard floors.  The live columnar-vs-object throughput ratio
 #: lands around 100x even at the guard's reduced sizes, so 50x trips on
 #: real columnar regressions (a fallen-back scalar path runs at ~1x),
-#: not on scheduler noise; the committed canary must carry the same
-#: floor.  Ratios compare two pipelines measured in the same process, so
-#: unlike the wall-clock guards they are checked off-baseline-hardware
-#: too.
+#: not on scheduler noise.  Ratios compare two pipelines measured in the
+#: same process, so they hold on any host.
 _SCALE_SPEEDUP_FLOOR = 50.0
 _SCALE_GUARD_STREAMS = 100_000
 _SCALE_GUARD_BASELINE = 256
@@ -648,16 +449,14 @@ _SCALE_GUARD_BASELINE = 256
 def run_scale_guard() -> None:
     """Columnar throughput and MC variance reduction must hold.
 
-    * a live reduced-size scale bench must analyse columnar streams at
+    * a live reduced-size scale run must analyse columnar streams at
       least ``_SCALE_SPEEDUP_FLOOR`` times faster per stream than the
       object path (both pipelines run the full order + exact RM + TTP
       saturation sequence);
     * the variance-reduced streaming estimator must reach the same CI
       target with no more evaluations than plain sampling, both runs
       must converge before the cap, and their means must agree within
-      the sum of their CI half-widths (they estimate the same quantity);
-    * a committed ``BENCH_scale.json`` (from ``make bench-scale``) must
-      report the same speedup floor and an evaluations ratio >= 1.
+      the sum of their CI half-widths (they estimate the same quantity).
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     from repro.experiments.config import PaperParameters
@@ -699,51 +498,10 @@ def run_scale_guard() -> None:
             "stratified/antithetic sampler is biased"
         )
 
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_scale.json")
-    suffix = "no committed BENCH_scale.json"
-    if os.path.exists(baseline_path):
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        by_group: dict = {}
-        for bench in baseline.get("benchmarks", []):
-            by_group.setdefault(bench["group"], []).append(bench)
-        columnar = [
-            bench for bench in by_group.get("scale", [])
-            if "speedup_vs_object" in bench["extra_info"]
-        ]
-        if not columnar:
-            raise AssertionError(
-                "BENCH_scale.json has no columnar scale entry"
-            )
-        committed_speedup = columnar[0]["extra_info"]["speedup_vs_object"]
-        if committed_speedup < _SCALE_SPEEDUP_FLOOR:
-            raise AssertionError(
-                f"committed BENCH_scale.json records a {committed_speedup:.1f}x "
-                f"speedup, below the {_SCALE_SPEEDUP_FLOOR:.0f}x floor"
-            )
-        vr_cells = [
-            bench for bench in by_group.get("mc", [])
-            if "eval_ratio_vs_naive" in bench["extra_info"]
-        ]
-        if not vr_cells:
-            raise AssertionError(
-                "BENCH_scale.json has no variance-reduced mc entry"
-            )
-        committed_ratio = vr_cells[0]["extra_info"]["eval_ratio_vs_naive"]
-        if committed_ratio < 1.0:
-            raise AssertionError(
-                "committed BENCH_scale.json records an evaluations ratio "
-                f"of {committed_ratio:.2f} (< 1): variance reduction cost "
-                "evaluations instead of saving them"
-            )
-        suffix = (
-            f"committed canary holds ({committed_speedup:,.0f}x, "
-            f"mc ratio {committed_ratio:.2f})"
-        )
     print(
         f"verify_smoke: ok (scale guard: {result.speedup:,.0f}x columnar "
         f"speedup live, vr {result.vr.evaluations} <= naive "
-        f"{result.naive.evaluations} evaluations; {suffix})"
+        f"{result.naive.evaluations} evaluations)"
     )
 
 
@@ -754,158 +512,70 @@ _CLUSTER_DURATION_S = 2.0
 _CLUSTER_TARGET_RPS = 300.0
 _CLUSTER_WORKERS = 2
 
-#: Scaling floor for the *committed* BENCH_cluster.json: a 4-worker
-#: fleet must deliver at least this multiple of the single-worker fleet
-#: throughput — but only when the canary was recorded on hardware that
-#: can physically express it (cores >= _CLUSTER_MIN_CPUS).  On a 1-core
-#: host every worker shares the core and the router adds a hop, so the
-#: honest measured ratio is <= 1 and the floor is meaningless.
-_CLUSTER_SCALING_FLOOR = 2.5
-_CLUSTER_MIN_CPUS = 4
-
 
 def run_cluster_canary() -> None:
-    """Spawn a live sharded fleet, then audit the committed cluster bench.
+    """Spawn a live sharded fleet and audit its routing and accounting.
 
-    Live half: ``runner loadgen --workers 2`` spawns two worker
-    subprocesses behind the consistent-hash router and drives paced
-    load through the front.  The run must complete with zero transport
-    errors, traffic must reach *both* shards (per-shard latency
-    percentiles present for w0 and w1), and the fleet accounting must
-    come back sound: lease total within the aggregate cap and joint
+    ``runner loadgen --workers 2`` spawns two worker subprocesses behind
+    the consistent-hash router and drives paced load through the front.
+    The run must complete with zero transport errors, traffic must reach
+    *both* shards (per-shard latency percentiles present for w0 and w1),
+    every worker must be reachable at the end, and the fleet accounting
+    must come back sound: lease total within the aggregate cap and joint
     admitted utilization never past it.
-
-    Committed half: ``BENCH_cluster.json`` (from ``make bench-cluster``)
-    must carry the single-worker baseline, a sound budget in every
-    entry, and — when it was recorded on a host with at least
-    ``_CLUSTER_MIN_CPUS`` cores — a measured multi-worker scaling ratio
-    of at least ``_CLUSTER_SCALING_FLOOR``.  Recorded on smaller
-    hardware, the ratio is reported but the floor is skipped with a
-    notice (same rule as the wall-clock bench guards).
     """
-    with tempfile.TemporaryDirectory(prefix="repro-cluster-") as tmp:
-        bench_path = os.path.join(tmp, "BENCH_cluster_live.json")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(REPO_ROOT, "src"),
-                        env.get("PYTHONPATH")) if p
+    extra = _run_loadgen(
+        "cluster canary",
+        "--workers", str(_CLUSTER_WORKERS),
+        "--duration", str(_CLUSTER_DURATION_S),
+        "--load-workers", "4",
+        "--target-rps", str(_CLUSTER_TARGET_RPS),
+    )
+    report = extra["loadgen"]
+    fleet = extra["fleet"]
+    if report["errors"]:
+        raise AssertionError(
+            f"cluster canary saw {report['errors']} transport errors "
+            "through the router"
         )
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "repro.experiments.runner", "loadgen",
-                "--workers", str(_CLUSTER_WORKERS),
-                "--duration", str(_CLUSTER_DURATION_S),
-                "--load-workers", "4",
-                "--target-rps", str(_CLUSTER_TARGET_RPS),
-                "--bench-json", bench_path,
-                "--no-manifest", "--quiet", "--log-level", "error",
-            ],
-            cwd=REPO_ROOT, env=env, capture_output=True, text=True,
-            timeout=600,
+    floor = 0.5 * _CLUSTER_TARGET_RPS * _CLUSTER_DURATION_S
+    if report["requests"] < floor:
+        raise AssertionError(
+            f"cluster served only {report['requests']} requests; "
+            f"expected at least {floor:.0f} at the paced rate"
         )
-        if proc.returncode != 0:
-            raise AssertionError(
-                f"cluster canary exited {proc.returncode}\n"
-                f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}"
-            )
-        with open(bench_path, encoding="utf-8") as handle:
-            document = json.load(handle)
-        extra = document["benchmarks"][0]["extra_info"]
-        report = extra["report"]
-        fleet = extra["fleet"]
-        if report["errors"]:
-            raise AssertionError(
-                f"cluster canary saw {report['errors']} transport errors "
-                "through the router"
-            )
-        floor = 0.5 * _CLUSTER_TARGET_RPS * _CLUSTER_DURATION_S
-        if report["requests"] < floor:
-            raise AssertionError(
-                f"cluster served only {report['requests']} requests; "
-                f"expected at least {floor:.0f} at the paced rate"
-            )
-        shard_keys = set(report.get("shard_latency_s", {}))
-        expected = {f"w{i}" for i in range(_CLUSTER_WORKERS)}
-        if not expected <= shard_keys:
-            raise AssertionError(
-                "traffic did not reach every shard: per-shard latency "
-                f"covers {sorted(shard_keys)}, expected at least "
-                f"{sorted(expected)} — the hash router is not spreading "
-                "the catalogue"
-            )
-        if fleet["reachable"] != _CLUSTER_WORKERS:
-            raise AssertionError(
-                f"only {fleet['reachable']}/{_CLUSTER_WORKERS} workers "
-                "reachable at the end of the canary run"
-            )
-        if not fleet["fleet"]["budget_sound"]:
-            raise AssertionError(
-                "fleet lease ledger is unsound: granted "
-                f"{fleet['fleet']['lease_granted_total']!r} vs cap "
-                f"{fleet['fleet']['utilization_cap']!r}"
-            )
-        cap = fleet["fleet"]["utilization_cap"]
-        joint = fleet["fleet"]["utilization"]
-        if joint > cap + 1e-9:
-            raise AssertionError(
-                f"fleet jointly admitted utilization {joint:.6f} past the "
-                f"aggregate cap {cap:.6f} — the lease split is not "
-                "containing the workers"
-            )
-
-    baseline_path = os.path.join(REPO_ROOT, "BENCH_cluster.json")
-    suffix = "no committed BENCH_cluster.json"
-    if os.path.exists(baseline_path):
-        with open(baseline_path, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        by_name = {
-            bench["name"]: bench for bench in baseline.get("benchmarks", [])
-        }
-        if "fleet_w1" not in by_name:
-            raise AssertionError(
-                "BENCH_cluster.json has no single-worker baseline entry"
-            )
-        for name, bench in sorted(by_name.items()):
-            bench_fleet = bench["extra_info"]["fleet"]["fleet"]
-            if not bench_fleet["budget_sound"]:
-                raise AssertionError(
-                    f"BENCH_cluster.json entry {name} records an unsound "
-                    "budget ledger"
-                )
-        scaled = [
-            (name, bench)
-            for name, bench in sorted(by_name.items())
-            if "scaling_vs_single" in bench["extra_info"]
-        ]
-        if not scaled:
-            raise AssertionError(
-                "BENCH_cluster.json has no multi-worker scaling entry"
-            )
-        name, bench = scaled[-1]
-        ratio = bench["extra_info"]["scaling_vs_single"]
-        recorded_cpus = bench["extra_info"].get("cpu_count") or 0
-        if recorded_cpus >= _CLUSTER_MIN_CPUS:
-            if ratio < _CLUSTER_SCALING_FLOOR:
-                raise AssertionError(
-                    f"BENCH_cluster.json {name} scaled only {ratio:.2f}x "
-                    f"vs the single-worker fleet on a {recorded_cpus}-core "
-                    f"host; the {_CLUSTER_SCALING_FLOOR}x floor means the "
-                    "fleet stopped parallelising"
-                )
-            suffix = (
-                f"committed {name} scaling {ratio:.2f}x holds the "
-                f"{_CLUSTER_SCALING_FLOOR}x floor"
-            )
-        else:
-            suffix = (
-                f"committed {name} scaling {ratio:.2f}x recorded on a "
-                f"{recorded_cpus}-core host — floor needs "
-                f"{_CLUSTER_MIN_CPUS}+ cores, skipped with this notice"
-            )
+    shard_keys = set(report.get("shard_latency_s", {}))
+    expected = {f"w{i}" for i in range(_CLUSTER_WORKERS)}
+    if not expected <= shard_keys:
+        raise AssertionError(
+            "traffic did not reach every shard: per-shard latency "
+            f"covers {sorted(shard_keys)}, expected at least "
+            f"{sorted(expected)} — the hash router is not spreading "
+            "the catalogue"
+        )
+    if fleet["reachable"] != _CLUSTER_WORKERS:
+        raise AssertionError(
+            f"only {fleet['reachable']}/{_CLUSTER_WORKERS} workers "
+            "reachable at the end of the canary run"
+        )
+    if not fleet["fleet"]["budget_sound"]:
+        raise AssertionError(
+            "fleet lease ledger is unsound: granted "
+            f"{fleet['fleet']['lease_granted_total']!r} vs cap "
+            f"{fleet['fleet']['utilization_cap']!r}"
+        )
+    cap = fleet["fleet"]["utilization_cap"]
+    joint = fleet["fleet"]["utilization"]
+    if joint > cap + 1e-9:
+        raise AssertionError(
+            f"fleet jointly admitted utilization {joint:.6f} past the "
+            f"aggregate cap {cap:.6f} — the lease split is not "
+            "containing the workers"
+        )
     print(
         "verify_smoke: ok (cluster canary: "
         f"{report['requests']} requests through the router across "
-        f"{len(shard_keys)} shards, fleet budget sound; {suffix})"
+        f"{len(shard_keys)} shards, fleet budget sound)"
     )
 
 
@@ -918,18 +588,14 @@ def run_top_smoke() -> None:
     ``/metrics`` histograms, so an empty or missing section means the
     bucketed pipeline (or its delta arithmetic) broke.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(REPO_ROOT, "src"),
-                    env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [
             sys.executable, "-m", "repro.experiments.runner", "top",
             "--spawn", "--once", "--interval", "0.5",
             "--no-manifest", "--log-level", "error",
         ],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=600,
+        cwd=REPO_ROOT, env=_runner_env(), capture_output=True, text=True,
+        timeout=600,
     )
     if proc.returncode != 0:
         raise AssertionError(
@@ -944,31 +610,11 @@ def run_top_smoke() -> None:
     print("verify_smoke: ok (runner top --once renders live telemetry)")
 
 
-def run_bench_trend_guard() -> None:
-    """The bench-trend history check must pass (or skip with a notice)."""
-    env = dict(os.environ)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(REPO_ROOT, "tools", "bench_trend.py"),
-         "check"],
-        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
-    )
-    sys.stdout.write(proc.stdout)
-    if proc.returncode != 0:
-        raise AssertionError(
-            f"bench-trend check failed (rc={proc.returncode}):\n"
-            f"{proc.stdout}\n{proc.stderr}"
-        )
-    print("verify_smoke: ok (bench trend within threshold)")
-
-
 if __name__ == "__main__":
     run_smoke()
     run_mutation_smoke_check()
     run_service_canary()
-    run_admission_guard()
     run_loss_canary()
     run_scale_guard()
     run_cluster_canary()
-    run_bench_guard()
     run_top_smoke()
-    run_bench_trend_guard()
